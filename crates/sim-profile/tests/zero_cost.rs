@@ -6,17 +6,25 @@
 
 use sim_profile::{profile_scope, SpanDef, SpanSet};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread: the tests run in parallel, and another test building
+    // its `SpanSet` must not count against the hot path measured here.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -41,13 +49,13 @@ const TABLE: &[SpanDef] = &[
 #[test]
 fn disabled_profiler_allocates_nothing_on_the_hot_path() {
     let mut set = SpanSet::new(TABLE); // construction may allocate
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let mut acc = 0u64;
     for i in 0..100_000u64 {
         acc = acc.wrapping_add(profile_scope!(set, 1, black_box(i)));
     }
     black_box(acc);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -61,11 +69,11 @@ fn enabled_profiler_allocates_nothing_on_the_hot_path_either() {
     // heap structures.
     let mut set = SpanSet::new(TABLE);
     set.set_enabled(true);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 0..10_000u64 {
         black_box(profile_scope!(set, 1, black_box(i)));
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(after - before, 0);
 }
 

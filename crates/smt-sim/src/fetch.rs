@@ -109,11 +109,22 @@ pub trait FetchPolicy {
 
 /// ICOUNT ordering: fewest in-flight instructions first; ties by thread
 /// id for determinism. Flush-blocked threads are excluded (they cannot
-/// fetch at all).
+/// fetch at all). Runs every cycle, so it allocates only the result:
+/// it sorts positions in `view.threads`, then maps them to thread ids.
 pub fn icount_order(view: &FetchView) -> Vec<ThreadId> {
-    let mut order: Vec<&ThreadView> = view.threads.iter().filter(|t| !t.flush_blocked).collect();
-    order.sort_by_key(|t| (t.in_flight, t.tid));
-    order.iter().map(|t| t.tid).collect()
+    let threads = view.threads;
+    let mut order: Vec<ThreadId> = (0..threads.len())
+        .filter(|&i| !threads[i].flush_blocked)
+        .map(|i| i as ThreadId)
+        .collect();
+    order.sort_unstable_by_key(|&i| {
+        let t = &threads[i as usize];
+        (t.in_flight, t.tid)
+    });
+    for slot in &mut order {
+        *slot = threads[*slot as usize].tid;
+    }
+    order
 }
 
 /// The default ICOUNT policy.

@@ -4,15 +4,19 @@
 //! plus the running hint-bit total the DVM hardware would keep in its
 //! ACE-bit counter. Entry order is not maintained here: age-based
 //! selection uses the global `seq` carried by each instruction.
+//! Membership and removal are O(1) through an id → slot index that
+//! leaves the physical slot order exactly as `swap_remove` makes it.
 
+use crate::dense::DenseSet;
 use crate::layout;
-use crate::types::InstId;
+use crate::types::{InstId, InstSlab};
 use sim_snapshot::{SnapError, SnapReader, SnapWriter};
 
 /// The shared issue queue of the SMT processor.
 pub struct IssueQueue {
     capacity: usize,
-    entries: Vec<InstId>,
+    /// Resident ids in physical slot order, indexed by id.
+    entries: DenseSet<InstId>,
     /// Σ over resident instructions of their hint-derived ACE bits —
     /// the online ACE-bit counter of the paper's Section 5.1.
     hint_bits: u64,
@@ -25,7 +29,7 @@ impl IssueQueue {
         assert!(capacity > 0);
         IssueQueue {
             capacity,
-            entries: Vec::with_capacity(capacity),
+            entries: DenseSet::with_capacity(capacity),
             hint_bits: 0,
             per_thread: [0; micro_isa::MAX_THREADS],
         }
@@ -40,7 +44,7 @@ impl IssueQueue {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.len() == 0
     }
 
     pub fn is_full(&self) -> bool {
@@ -60,7 +64,7 @@ impl IssueQueue {
     /// Allocate an entry. Panics if full (the dispatch stage checks).
     pub fn insert(&mut self, id: InstId, ace_hint: bool, tid: micro_isa::ThreadId) {
         assert!(!self.is_full(), "IQ overflow");
-        debug_assert!(!self.entries.contains(&id), "duplicate IQ entry");
+        debug_assert!(!self.entries.contains(id), "duplicate IQ entry");
         self.entries.push(id);
         self.hint_bits += layout::iq_ace_bits(ace_hint) as u64;
         self.per_thread[tid as usize] += 1;
@@ -68,18 +72,15 @@ impl IssueQueue {
 
     /// Free the entry of `id` (at writeback or squash). Panics if absent.
     pub fn remove(&mut self, id: InstId, ace_hint: bool, tid: micro_isa::ThreadId) {
-        let pos = self
-            .entries
-            .iter()
-            .position(|&e| e == id)
+        self.entries
+            .remove(id)
             .expect("removing instruction not in IQ");
-        self.entries.swap_remove(pos);
         self.hint_bits -= layout::iq_ace_bits(ace_hint) as u64;
         self.per_thread[tid as usize] -= 1;
     }
 
     pub fn contains(&self, id: InstId) -> bool {
-        self.entries.contains(&id)
+        self.entries.contains(id)
     }
 
     /// Testing hook: skew the hardware ACE-bit counter without touching
@@ -97,25 +98,38 @@ impl IssueQueue {
     /// space uniformly.
     pub fn entry_at(&self, idx: usize) -> Option<InstId> {
         assert!(idx < self.capacity, "IQ slot {idx} out of range");
-        self.entries.get(idx).copied()
+        self.entries.as_slice().get(idx).copied()
     }
 
     pub fn iter(&self) -> impl Iterator<Item = InstId> + '_ {
-        self.entries.iter().copied()
+        self.entries.as_slice().iter().copied()
+    }
+
+    /// Check the id → slot index against the slot contents (self-checks).
+    pub(crate) fn check_slot_index(&self) -> Result<(), String> {
+        self.entries.check_index()
     }
 
     /// Serialize the queue contents. The `entries` vector is written
     /// verbatim: `swap_remove` compaction makes physical slot order
     /// history-dependent, and fault injection samples slots by index,
-    /// so order must survive a round-trip for bit-identical resume.
+    /// so order must survive a round-trip for bit-identical resume. The
+    /// id → slot index is derived and rebuilt on restore.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put(&self.entries);
+        w.put(&self.entries.as_slice().to_vec());
         w.put(&self.hint_bits);
         let pt: Vec<u64> = self.per_thread.iter().map(|&n| n as u64).collect();
         w.put(&pt);
     }
 
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    /// Restore what [`IssueQueue::save_state`] wrote. Every entry must
+    /// name a live record of `slab` (restored first), which also bounds
+    /// the id → slot index by the slab's size.
+    pub fn restore_state(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        slab: &InstSlab,
+    ) -> Result<(), SnapError> {
         let entries: Vec<InstId> = r.get()?;
         let hint_bits = r.get_u64()?;
         let pt: Vec<u64> = r.get()?;
@@ -138,36 +152,18 @@ impl IssueQueue {
                 "IQ per-thread occupancy does not sum to entry count".into(),
             ));
         }
-        self.entries = entries;
+        if let Some(id) = entries.iter().find(|&&id| !slab.contains(id)) {
+            return Err(SnapError::Corrupt(format!(
+                "IQ entry {id} references a dead slab slot"
+            )));
+        }
+        self.entries = DenseSet::from_items(entries)
+            .map_err(|id| SnapError::Corrupt(format!("IQ holds instruction {id} twice")))?;
         self.hint_bits = hint_bits;
         for (dst, &src) in self.per_thread.iter_mut().zip(pt.iter()) {
             *dst = src as usize;
         }
         Ok(())
-    }
-
-    /// Remove every entry satisfying `pred`; calls `on_removed` for each.
-    /// Used by squash paths, which know each instruction's hint and
-    /// thread from the slab.
-    pub fn retain_with(
-        &mut self,
-        mut pred: impl FnMut(InstId) -> bool,
-        mut on_removed: impl FnMut(InstId),
-        hint_of: impl Fn(InstId) -> bool,
-        tid_of: impl Fn(InstId) -> micro_isa::ThreadId,
-    ) {
-        let mut i = 0;
-        while i < self.entries.len() {
-            let id = self.entries[i];
-            if pred(id) {
-                i += 1;
-            } else {
-                self.entries.swap_remove(i);
-                self.hint_bits -= layout::iq_ace_bits(hint_of(id)) as u64;
-                self.per_thread[tid_of(id) as usize] -= 1;
-                on_removed(id);
-            }
-        }
     }
 }
 
@@ -190,6 +186,22 @@ mod tests {
         assert_eq!(iq.hint_bits_resident(), UNACE_INST_BITS as u64);
         assert!(!iq.contains(1));
         assert!(iq.contains(2));
+    }
+
+    #[test]
+    fn removal_compacts_slots_like_swap_remove() {
+        let mut iq = IssueQueue::new(8);
+        for id in [10, 11, 12, 13] {
+            iq.insert(id, false, 0);
+        }
+        // The last entry moves into the freed slot.
+        iq.remove(11, false, 0);
+        let slots: Vec<_> = (0..4).map(|i| iq.entry_at(i)).collect();
+        assert_eq!(slots, vec![Some(10), Some(13), Some(12), None]);
+        iq.remove(12, false, 0);
+        assert_eq!(iq.entry_at(1), Some(13));
+        assert_eq!(iq.entry_at(2), None);
+        iq.check_slot_index().unwrap();
     }
 
     #[test]
@@ -216,20 +228,53 @@ mod tests {
     }
 
     #[test]
-    fn retain_with_squashes_and_reports() {
-        let mut iq = IssueQueue::new(8);
-        for id in 0..6 {
-            iq.insert(id, id % 2 == 0, 0);
+    fn restore_keeps_slot_order_and_rejects_dead_ids() {
+        use crate::types::InstInfo;
+        let inst = micro_isa::DynInst {
+            seq: 1,
+            tid: 0,
+            dyn_idx: 0,
+            pc: 0,
+            op: micro_isa::OpClass::IAlu,
+            dest: None,
+            srcs: [None, None],
+            mem_addr: None,
+            ctrl: None,
+            ace_hint: false,
+            wrong_path: false,
+        };
+        let mut slab = InstSlab::new();
+        let ids: Vec<InstId> = (0..3)
+            .map(|_| slab.insert(InstInfo::new(inst.clone(), 0)))
+            .collect();
+        let mut iq = IssueQueue::new(4);
+        for &id in &ids {
+            iq.insert(id, false, 0);
         }
-        let mut removed = Vec::new();
-        iq.retain_with(|id| id < 3, |id| removed.push(id), |id| id % 2 == 0, |_| 0);
-        removed.sort_unstable();
-        assert_eq!(removed, vec![3, 4, 5]);
-        assert_eq!(iq.len(), 3);
-        // Bits for ids 0 (ACE), 1 (un-ACE), 2 (ACE).
+        iq.remove(ids[0], false, 0);
+        let mut w = SnapWriter::new();
+        iq.save_state(&mut w);
+        let bytes = w.into_bytes();
+
+        let mut back = IssueQueue::new(4);
+        back.restore_state(&mut SnapReader::new(&bytes), &slab)
+            .unwrap();
         assert_eq!(
-            iq.hint_bits_resident(),
-            (2 * ACE_INST_BITS + UNACE_INST_BITS) as u64
+            back.iter().collect::<Vec<_>>(),
+            iq.iter().collect::<Vec<_>>()
         );
+        back.check_slot_index().unwrap();
+
+        // An id the slab does not hold is rejected before the slot index
+        // is sized by it.
+        let mut w = SnapWriter::new();
+        w.put(&vec![ids[1], 1usize << 40]);
+        w.put(&0u64);
+        w.put(&vec![2u64, 0, 0, 0, 0, 0, 0, 0]);
+        let bytes = w.into_bytes();
+        let err = IssueQueue::new(4)
+            .restore_state(&mut SnapReader::new(&bytes), &slab)
+            .unwrap_err();
+        assert!(err.to_string().contains("dead slab slot"), "{err}");
     }
 }

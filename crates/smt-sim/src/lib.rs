@@ -36,6 +36,7 @@
 
 pub mod cancel;
 pub mod config;
+mod dense;
 pub mod dispatch;
 pub mod events;
 pub mod fetch;

@@ -60,8 +60,10 @@ use workload_gen::{Program, ThreadEngine};
 
 pub mod inject;
 pub mod snapshot;
+mod wakeup;
 
 pub use snapshot::HookAction;
+use wakeup::WakeupState;
 
 /// The paper's sampling interval (Sections 2.2 and 5.1).
 pub const DEFAULT_INTERVAL_CYCLES: u64 = 10_000;
@@ -78,6 +80,9 @@ pub mod spans {
     pub const COMMIT: SpanId = 1;
     pub const WRITEBACK: SpanId = 2;
     pub const ISSUE: SpanId = 3;
+    /// Gathering the ready list: copying the selectable set and
+    /// recording the ready-queue statistics. Clearing operand waits runs
+    /// in writeback, over the completing producer's dependent list.
     pub const WAKEUP: SpanId = 4;
     pub const SELECT: SpanId = 5;
     pub const DISPATCH: SpanId = 6;
@@ -261,6 +266,15 @@ pub struct Pipeline {
     /// Zero-based index of the next sampling interval to close (reset by
     /// `warm_up` so it matches `stats.intervals` indexing).
     interval_index: u64,
+    /// Dependent lists, selectable set and executing counters, kept at
+    /// every transition so wakeup and select never scan the IQ. Derived
+    /// state: rebuilt on restore, never serialized.
+    wakeup: WakeupState,
+    // Buffers reused every cycle so the tick does not allocate. Their
+    // contents never outlive the stage that fills them.
+    ready_buf: Vec<ReadyInst>,
+    views_buf: Vec<ThreadView>,
+    squash_buf: Vec<InstId>,
 }
 
 impl Pipeline {
@@ -333,6 +347,10 @@ impl Pipeline {
             progress: None,
             cancel: CancelToken::default(),
             interval_index: 0,
+            wakeup: WakeupState::default(),
+            ready_buf: Vec::with_capacity(config.iq_size),
+            views_buf: Vec::with_capacity(config.num_threads),
+            squash_buf: Vec::new(),
             config,
             policies,
         }
@@ -625,31 +643,23 @@ impl Pipeline {
             inst_seq = info.inst.seq;
         }
         // Free the IQ entry (writeback-freed, M-Sim/RUU style).
-        {
-            let hint = self.slab.get(id).inst.ace_hint;
-            if self.iq.contains(id) {
-                self.iq.remove(id, hint, self.slab.get(id).inst.tid);
-                self.tracer.emit(|| TraceEvent::IqFree {
-                    cycle: self.now,
-                    tid,
-                    seq: inst_seq,
-                    occupancy: self.iq.len(),
-                });
-            }
+        if self.iq.contains(id) {
+            let info = self.slab.get(id);
+            self.iq.remove(id, info.inst.ace_hint, info.inst.tid);
+            self.wakeup
+                .on_leave(id, InstStage::Issued, info.inst.ace_hint);
+            self.tracer.emit(|| TraceEvent::IqFree {
+                cycle: self.now,
+                tid,
+                seq: inst_seq,
+                occupancy: self.iq.len(),
+            });
         }
-        // Scoreboard release + IQ wakeup.
+        // Scoreboard release + wakeup of this producer's dependents.
         if let Some(d) = dest {
             self.threads[tid].scoreboard.clear_if_producer(d, id);
         }
-        let iq_ids: Vec<InstId> = self.iq.iter().collect();
-        for e in iq_ids {
-            let info = self.slab.get_mut(e);
-            for w in &mut info.waiting_on {
-                if *w == Some(id) {
-                    *w = None;
-                }
-            }
-        }
+        self.wakeup.wake_dependents(id, &mut self.slab);
         // Load bookkeeping.
         if op == OpClass::Load {
             let t = &mut self.threads[tid];
@@ -707,16 +717,20 @@ impl Pipeline {
             reason: FlushReason::Misprediction,
         });
         self.apply_squash(tid, &squashed, observer);
+        self.squash_buf = squashed;
 
         // Restore predictor state to the branch's checkpoint, then apply
         // its resolved effect.
         let info = self.slab.get(branch_id);
-        let ras = info.bp_ras.clone().unwrap_or_default();
         let history = info.bp_history;
         let kind = branch_kind(info.inst.op);
         let taken = info.inst.ctrl.unwrap().taken;
         let fallthrough = info.inst.pc + 1;
-        self.bpred.recover(tid as ThreadId, history, &ras);
+        self.bpred.recover(
+            tid as ThreadId,
+            history,
+            info.bp_ras.as_deref().unwrap_or(&[]),
+        );
         self.bpred
             .apply_resolved(tid as ThreadId, kind, taken, fallthrough);
 
@@ -730,29 +744,24 @@ impl Pipeline {
     // ------------------------------------------------------------------
 
     /// Remove from the fetch queue and ROB every instruction of `tid`
-    /// matching `victim`; returns the removed ids (unordered).
+    /// matching `victim`; returns the removed ids, fetch-queue victims
+    /// first, each queue in its own order (that order fixes the IQ slot
+    /// compaction and the squash-event order). The returned vector is
+    /// the reused squash buffer: hand it back to `squash_buf` when done.
     fn collect_squash(&mut self, tid: usize, victim: impl Fn(&InstInfo) -> bool) -> Vec<InstId> {
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.squash_buf);
+        out.clear();
         let slab = &self.slab;
         let t = &mut self.threads[tid];
-        let mut keep_fq = VecDeque::with_capacity(t.fetch_queue.len());
-        for id in t.fetch_queue.drain(..) {
-            if victim(slab.get(id)) {
-                out.push(id);
-            } else {
-                keep_fq.push_back(id);
+        let mut keep = |id: &InstId| {
+            let squash = victim(slab.get(*id));
+            if squash {
+                out.push(*id);
             }
-        }
-        t.fetch_queue = keep_fq;
-        let mut keep_rob = VecDeque::with_capacity(t.rob.len());
-        for id in t.rob.drain(..) {
-            if victim(slab.get(id)) {
-                out.push(id);
-            } else {
-                keep_rob.push_back(id);
-            }
-        }
-        t.rob = keep_rob;
+            !squash
+        };
+        t.fetch_queue.retain(&mut keep);
+        t.rob.retain(&mut keep);
         out
     }
 
@@ -761,9 +770,10 @@ impl Pipeline {
     fn apply_squash(&mut self, tid: usize, squashed: &[InstId], observer: &mut dyn SimObserver) {
         for &id in squashed {
             // IQ entry.
-            let hint = self.slab.get(id).inst.ace_hint;
             if self.iq.contains(id) {
-                self.iq.remove(id, hint, self.slab.get(id).inst.tid);
+                let info = self.slab.get(id);
+                self.iq.remove(id, info.inst.ace_hint, info.inst.tid);
+                self.wakeup.on_leave(id, info.stage, info.inst.ace_hint);
                 self.tracer.emit(|| TraceEvent::IqFree {
                     cycle: self.now,
                     tid,
@@ -771,6 +781,7 @@ impl Pipeline {
                     occupancy: self.iq.len(),
                 });
             }
+            self.wakeup.forget_producer(id);
             let info = self.slab.remove(id);
             let t = &mut self.threads[tid];
             t.in_flight -= 1;
@@ -812,9 +823,9 @@ impl Pipeline {
         }
         // Rebuild the scoreboard from the surviving ROB contents
         // (oldest → youngest keeps the youngest producer per register).
-        let rob: Vec<InstId> = self.threads[tid].rob.iter().copied().collect();
+        let t = &mut self.threads[tid];
         let mut sb = Scoreboard::new();
-        for id in rob {
+        for &id in &t.rob {
             let info = self.slab.get(id);
             if info.stage != InstStage::Completed {
                 if let Some(d) = info.inst.dest {
@@ -822,7 +833,7 @@ impl Pipeline {
                 }
             }
         }
-        self.threads[tid].scoreboard = sb;
+        t.scoreboard = sb;
     }
 
     /// FLUSH rollback: squash everything in `tid` younger than `load_id`,
@@ -886,6 +897,7 @@ impl Pipeline {
                 FlushReason::FetchPolicy
             },
         });
+        self.squash_buf = squashed;
         self.threads[tid].engine.push_replay(replay);
         let t = &mut self.threads[tid];
         t.flush_blocked = true;
@@ -903,33 +915,20 @@ impl Pipeline {
         // entry stays allocated until *writeback*, so the ready queue the
         // paper measures contains both selectable entries (operands ready,
         // not yet issued) and entries already executing. Only the former
-        // are candidates for selection.
+        // are candidates for selection. Both are kept incrementally (see
+        // `wakeup`), so this copies the selectable entries and nothing
+        // else; their order is arbitrary, and every issue policy sorts by
+        // a total-order key.
         let wakeup = self.prof.enter(spans::WAKEUP);
-        let mut ready: Vec<ReadyInst> = Vec::new();
-        let mut executing = 0usize;
-        let mut executing_ace = 0usize;
-        for id in self.iq.iter() {
-            let info = self.slab.get(id);
-            if info.stage == InstStage::Dispatched && info.sources_ready() && !info.inhibit_issue {
-                ready.push(ReadyInst {
-                    id,
-                    seq: info.inst.seq,
-                    tid: info.inst.tid,
-                    op: info.inst.op,
-                    ace_hint: info.inst.ace_hint,
-                    wrong_path: info.inst.wrong_path,
-                });
-            } else if info.stage == InstStage::Issued {
-                executing += 1;
-                if info.inst.ace_hint {
-                    executing_ace += 1;
-                }
-            }
-        }
+        let mut ready = std::mem::take(&mut self.ready_buf);
+        ready.clear();
+        ready.extend_from_slice(self.wakeup.selectable());
+        let (executing, executing_ace) = self.wakeup.executing();
+        let selectable_ace = ready.iter().filter(|r| r.ace_hint).count();
         let rql = ready.len() + executing;
-        let ace_ready = ready.iter().filter(|r| r.ace_hint).count() + executing_ace;
+        let ace_ready = selectable_ace + executing_ace;
         self.stats.diag_ready_selectable += ready.len() as u64;
-        self.stats.diag_ready_selectable_ace += ready.iter().filter(|r| r.ace_hint).count() as u64;
+        self.stats.diag_ready_selectable_ace += selectable_ace as u64;
         self.stats.diag_executing += executing as u64;
         self.stats.diag_executing_ace += executing_ace as u64;
         self.stats.diag_ready_wrong_path += ready.iter().filter(|r| r.wrong_path).count() as u64;
@@ -956,7 +955,7 @@ impl Pipeline {
         let mut issued = 0usize;
         let flush_active =
             self.policies.fetch.flush_on_l2_miss() || self.policies.governor.flush_override();
-        for r in ready {
+        for &r in &ready {
             if issued >= self.config.width {
                 break;
             }
@@ -1012,6 +1011,7 @@ impl Pipeline {
                 info.l1_miss = l1_miss && r.op == OpClass::Load;
                 info.l2_miss = l2_miss && r.op == OpClass::Load;
             }
+            self.wakeup.on_issue(&r);
             // RUU-style: the IQ entry is freed at writeback, not issue.
             self.events
                 .push(Reverse((self.now + latency as u64, r.id, r.seq)));
@@ -1081,6 +1081,7 @@ impl Pipeline {
                 });
             }
         }
+        self.ready_buf = ready;
         if issued > 0 {
             self.tracer.emit(|| TraceEvent::Issue {
                 cycle: self.now,
@@ -1094,26 +1095,28 @@ impl Pipeline {
     // dispatch
     // ------------------------------------------------------------------
 
-    fn thread_views(&self) -> Vec<ThreadView> {
-        self.threads
-            .iter()
-            .enumerate()
-            .map(|(tid, t)| ThreadView {
-                tid: tid as ThreadId,
-                fetch_queue_len: t.fetch_queue.len(),
-                fetch_queue_ace: t.fq_ace_count,
-                l2_pending: t.l2_pending,
-                l1d_pending: t.l1d_pending,
-                flush_blocked: t.flush_blocked,
-                in_flight: t.in_flight,
-                iq_occupancy: self.iq.thread_occupancy(tid as ThreadId),
-                rob_ace: t.rob_ace_count,
-            })
-            .collect()
+    /// The per-thread policy views as of now, in the reused view
+    /// buffer. The caller owns it while a stage hands it to policies
+    /// and mutates the pipeline; it goes back to `views_buf` after.
+    fn take_thread_views(&mut self) -> Vec<ThreadView> {
+        let mut views = std::mem::take(&mut self.views_buf);
+        views.clear();
+        views.extend(self.threads.iter().enumerate().map(|(tid, t)| ThreadView {
+            tid: tid as ThreadId,
+            fetch_queue_len: t.fetch_queue.len(),
+            fetch_queue_ace: t.fq_ace_count,
+            l2_pending: t.l2_pending,
+            l1d_pending: t.l1d_pending,
+            flush_blocked: t.flush_blocked,
+            in_flight: t.in_flight,
+            iq_occupancy: self.iq.thread_occupancy(tid as ThreadId),
+            rob_ace: t.rob_ace_count,
+        }));
+        views
     }
 
     fn dispatch_stage(&mut self) {
-        let views = self.thread_views();
+        let views = self.take_thread_views();
         let n = self.threads.len();
         let mut iq_len = self.iq.len();
         {
@@ -1214,6 +1217,7 @@ impl Pipeline {
                     info.waiting_on = waiting;
                 }
                 self.iq.insert(head, ace_hint, tid as ThreadId);
+                self.wakeup.on_dispatch(head, self.slab.get(head));
                 iq_len += 1;
                 budget -= 1;
                 dispatched += 1;
@@ -1236,6 +1240,7 @@ impl Pipeline {
             self.stats.governor_stall_cycles += 1;
         }
         self.dispatch_rr = (self.dispatch_rr + 1) % n;
+        self.views_buf = views;
     }
 
     // ------------------------------------------------------------------
@@ -1243,7 +1248,7 @@ impl Pipeline {
     // ------------------------------------------------------------------
 
     fn fetch_stage(&mut self) {
-        let views = self.thread_views();
+        let views = self.take_thread_views();
         let order = {
             let view = FetchView {
                 now: self.now,
@@ -1311,6 +1316,7 @@ impl Pipeline {
                 });
             }
         }
+        self.views_buf = views;
     }
 
     /// Fetch a single instruction for thread `tidx`. Returns `true` if
@@ -1468,7 +1474,7 @@ impl Pipeline {
                     .interval_rollover(index, snapshot.start_cycle, cycles);
             }
             {
-                let views = self.thread_views();
+                let views = self.take_thread_views();
                 let view = GovernorView {
                     now: self.now,
                     iq_size: self.config.iq_size,
@@ -1481,6 +1487,7 @@ impl Pipeline {
                     threads: &views,
                 };
                 self.policies.governor.on_interval(&snapshot, &view);
+                self.views_buf = views;
             }
             if let Some(p) = &self.progress {
                 p.fetch_add(cycles, Ordering::Relaxed);

@@ -31,7 +31,7 @@ use micro_isa::{OpClass, Reg, ThreadId, NUM_FP_REGS, NUM_INT_REGS};
 
 use super::Pipeline;
 use crate::layout::{self, IqBitClass};
-use crate::types::{InstInfo, InstStage};
+use crate::types::{InstId, InstInfo, InstStage};
 
 /// Architectural registers per hardware context (int ++ fp flat space).
 pub const REGS_PER_THREAD: usize = NUM_INT_REGS + NUM_FP_REGS;
@@ -307,7 +307,7 @@ impl Pipeline {
             IqBitClass::SelectCritical => {
                 let inhibited = !victim.issued;
                 if inhibited {
-                    self.slab.get_mut(id).inhibit_issue = true;
+                    self.inhibit_issue(id);
                 }
                 AppliedFault::RetireCritical { victim, inhibited }
             }
@@ -339,11 +339,18 @@ impl Pipeline {
             RobBitKind::Control => {
                 let inhibited = !victim.issued && !victim.completed;
                 if inhibited {
-                    self.slab.get_mut(id).inhibit_issue = true;
+                    self.inhibit_issue(id);
                 }
                 AppliedFault::RetireCritical { victim, inhibited }
             }
         }
+    }
+
+    /// Blind issue select to the waiting instruction `id` for good.
+    fn inhibit_issue(&mut self, id: InstId) {
+        let info = self.slab.get_mut(id);
+        info.inhibit_issue = true;
+        self.wakeup.on_leave(id, info.stage, info.inst.ace_hint);
     }
 
     /// Flip architectural-register bit `bit` of flattened RF slot
@@ -475,6 +482,36 @@ mod tests {
                 assert!(inhibited, "unissued victim must be inhibited");
             }
             other => panic!("expected RetireCritical, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn inhibiting_a_selectable_victim_takes_it_out_of_select() {
+        // A victim whose operands are ready sits in the selectable set:
+        // the flip must take it out at once, through either structure.
+        let mut p = pipeline_after(500);
+        for structure in [Structure::IssueQueue, Structure::Rob] {
+            while p.wakeup.selectable().is_empty() {
+                p.step(&mut NullObserver);
+            }
+            let id = p.wakeup.selectable()[0].id;
+            let fault = if structure == Structure::IssueQueue {
+                let entry = (0..96).find(|&e| p.iq.entry_at(e) == Some(id)).unwrap();
+                p.inject_iq_bit(entry, 0)
+            } else {
+                let tid = p.slab.get(id).inst.tid as usize;
+                let slot = p.threads[tid].rob.iter().position(|&r| r == id).unwrap();
+                p.inject_rob_bit(tid * p.config.rob_size + slot, 0, RobBitKind::Control)
+            };
+            assert!(matches!(
+                fault,
+                AppliedFault::RetireCritical {
+                    inhibited: true,
+                    ..
+                }
+            ));
+            assert!(!p.wakeup.selectable.contains(id), "{structure:?} victim");
+            p.check_invariants().unwrap();
         }
     }
 

@@ -8,8 +8,10 @@
 //! freshly constructed pipeline restored from it continues
 //! *bit-identically* to the uninterrupted run. Anything reconstructible
 //! from the configuration (programs, policies, structure geometry) is
-//! not stored; a configuration fingerprint binds each snapshot to the
-//! exact machine + workload + policy tuple that produced it.
+//! not stored, nor is the wakeup/select bookkeeping derived from the IQ
+//! and the slab (rebuilt on restore); a configuration fingerprint binds
+//! each snapshot to the exact machine + workload + policy tuple that
+//! produced it.
 //!
 //! Snapshots are taken cooperatively on the sampling-interval boundary
 //! via [`Pipeline::run_hooked`], the same poll point the cancellation
@@ -146,7 +148,7 @@ impl Pipeline {
         for i in 0..threads {
             restore_thread(&mut self.threads[i], r)?;
         }
-        self.iq.restore_state(r)?;
+        self.iq.restore_state(r, &self.slab)?;
         self.fu.restore_state(r)?;
         self.bpred.restore_state(r)?;
         self.mem.restore_state(r)?;
@@ -180,6 +182,11 @@ impl Pipeline {
         self.policies.fetch.restore_state(r)?;
         self.policies.governor.restore_state(r)?;
         self.metrics.restore_state(r)?;
+        // Wakeup/select bookkeeping is derived from the IQ and the
+        // slab's operand waits, so it is rebuilt rather than stored.
+        self.wakeup
+            .rebuild(&self.iq, &self.slab)
+            .map_err(SnapError::Corrupt)?;
         // Host-side observability state is not serialized: the profile
         // restarts empty and the interval wall-clock epoch restarts now,
         // so resumed runs attribute only their own wall time.
@@ -226,9 +233,12 @@ impl Pipeline {
     ///
     /// Verifies queue-occupancy bounds, ACE-bit conservation between
     /// the per-instruction hints in the slab and the live counters the
-    /// governors act on, rename/scoreboard consistency and per-thread
-    /// resource accounting. Returns a diagnostic description of the
-    /// first violation found.
+    /// governors act on, the derived wakeup/select state (IQ slot index,
+    /// selectable set, executing counters, dependent lists),
+    /// rename/scoreboard consistency and per-thread resource
+    /// accounting. Returns a diagnostic description of the first
+    /// violation found. This is the only full IQ sweep: the tick keeps
+    /// the derived state at its transitions.
     pub fn check_invariants(&self) -> Result<(), String> {
         let fail =
             |msg: String| -> Result<(), String> { Err(format!("cycle {}: {msg}", self.now)) };
@@ -284,6 +294,14 @@ impl Pipeline {
                     "IQ thread {tid} occupancy counter {tracked} != {n} resident entries"
                 ));
             }
+        }
+
+        // --- derived wakeup/select state, recomputed from the IQ ---
+        if let Err(e) = self.iq.check_slot_index() {
+            return fail(format!("IQ slot index: {e}"));
+        }
+        if let Err(e) = self.wakeup.check(&self.iq, &self.slab) {
+            return fail(e);
         }
 
         // --- per-thread resource accounting ---
@@ -623,6 +641,54 @@ mod tests {
         assert!(
             err.contains("ACE-bit counter"),
             "diagnostic names the counter: {err}"
+        );
+    }
+
+    #[test]
+    fn selfcheck_catches_skewed_wakeup_state() {
+        // Run to a cycle with both a selectable entry and an entry still
+        // waiting on a producer, so every structure has something to skew.
+        let mut p = mini(["gcc", "mcf", "vpr", "perlbmk"], 0, FetchPolicyKind::Icount);
+        let waiting = |p: &Pipeline| {
+            p.iq.iter().find_map(|id| {
+                let producer = p.slab.get(id).waiting_on.iter().flatten().next();
+                producer.map(|&producer| (id, producer))
+            })
+        };
+        p.run(SimLimits::cycles(2_000), &mut NullObserver);
+        while p.wakeup.selectable().is_empty() || waiting(&p).is_none() {
+            p.step(&mut NullObserver);
+        }
+        let snap = p.save_snapshot();
+        let restored = || {
+            let mut q = mini(["gcc", "mcf", "vpr", "perlbmk"], 0, FetchPolicyKind::Icount);
+            q.restore_snapshot(&snap).unwrap();
+            q.check_invariants().unwrap();
+            q
+        };
+
+        let mut q = restored();
+        q.wakeup.executing += 1;
+        let err = q.check_invariants().unwrap_err();
+        assert!(err.contains("executing counters"), "{err}");
+
+        let mut q = restored();
+        let id = q.wakeup.selectable()[0].id;
+        q.wakeup.selectable.remove(id);
+        let err = q.check_invariants().unwrap_err();
+        assert!(
+            err.contains(&format!("IQ entry {id} "))
+                && err.contains("missing from the selectable set"),
+            "{err}"
+        );
+
+        let mut q = restored();
+        let (id, producer) = waiting(&q).unwrap();
+        q.wakeup.dependents[producer].retain(|&c| c != id);
+        let err = q.check_invariants().unwrap_err();
+        assert!(
+            err.contains(&format!("IQ entry {id} ")) && err.contains("dependent list"),
+            "{err}"
         );
     }
 

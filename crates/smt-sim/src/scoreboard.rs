@@ -59,18 +59,6 @@ impl Scoreboard {
         }
     }
 
-    /// Remove every entry whose producer satisfies `pred` — used when a
-    /// squash kills a batch of in-flight instructions.
-    pub fn clear_matching(&mut self, mut pred: impl FnMut(InstId) -> bool) {
-        for slot in &mut self.producer {
-            if let Some(id) = *slot {
-                if pred(id) {
-                    *slot = None;
-                }
-            }
-        }
-    }
-
     /// Number of registers with in-flight producers (diagnostics).
     pub fn pending_count(&self) -> usize {
         self.producer.iter().flatten().count()
@@ -128,18 +116,5 @@ mod tests {
         let mut sb = Scoreboard::new();
         sb.set_producer(Reg::int(4), 9);
         assert_eq!(sb.producer_of(Reg::fp(4)), None);
-    }
-
-    #[test]
-    fn clear_matching_batch() {
-        let mut sb = Scoreboard::new();
-        sb.set_producer(Reg::int(1), 10);
-        sb.set_producer(Reg::int(2), 20);
-        sb.set_producer(Reg::int(3), 30);
-        sb.clear_matching(|id| id >= 20);
-        assert_eq!(sb.producer_of(Reg::int(1)), Some(10));
-        assert_eq!(sb.producer_of(Reg::int(2)), None);
-        assert_eq!(sb.producer_of(Reg::int(3)), None);
-        assert_eq!(sb.pending_count(), 1);
     }
 }
