@@ -1,9 +1,12 @@
-//! Shared experiment state: profiled programs and measurement budgets.
+//! Shared experiment state: profiled programs, measurement budgets and
+//! the outcomes of the runs already simulated.
 
 use crate::manifest::RunManifest;
+use crate::runner::RunOutcome;
 use avf::profiler::{profile_and_tag, ProfileResult};
+use iq_reliability::Scheme;
 use parking_lot::Mutex;
-use smt_sim::MachineConfig;
+use smt_sim::{FetchPolicyKind, MachineConfig};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,8 +70,23 @@ impl ExperimentParams {
     }
 }
 
-/// Shared context: machine configuration plus a lazily filled cache of
-/// profiled (hint-tagged) program texts, one per benchmark.
+/// The identity of one simulation: everything its result depends on.
+/// Scheme `f64` fields compare by bits, so targets one ulp apart are
+/// different runs.
+#[derive(PartialEq, Eq, Hash)]
+pub(crate) struct RunKey {
+    mix: String,
+    benchmarks: [&'static str; 4],
+    salt: u64,
+    fetch: FetchPolicyKind,
+    scheme: (&'static str, [u64; 2]),
+    /// Hash of the context's budget fields and machine configuration.
+    config: u64,
+}
+
+/// Shared context: machine configuration plus lazily filled caches of
+/// profiled (hint-tagged) program texts, one per benchmark, and of run
+/// outcomes, one per distinct simulation.
 pub struct ExperimentContext {
     pub params: ExperimentParams,
     pub machine: MachineConfig,
@@ -92,6 +110,11 @@ pub struct ExperimentContext {
     /// Manifests of completed runs; the CLI drains this after each
     /// exhibit (and discards if `--manifest` was not given).
     manifests: Mutex<Vec<RunManifest>>,
+    /// Outcomes of finished runs, served again to any later exhibit
+    /// that asks for the same [`RunKey`] (see `run_scheme_salted`).
+    memo: Mutex<HashMap<RunKey, RunOutcome>>,
+    /// Runs served from `memo` since the last [`take_memo_hits`](Self::take_memo_hits).
+    memo_hits: AtomicU64,
 }
 
 impl ExperimentContext {
@@ -106,6 +129,8 @@ impl ExperimentContext {
             progress: Mutex::new(None),
             run_counter: AtomicU64::new(0),
             manifests: Mutex::new(Vec::new()),
+            memo: Mutex::new(HashMap::new()),
+            memo_hits: AtomicU64::new(0),
         }
     }
 
@@ -173,6 +198,61 @@ impl ExperimentContext {
     /// Take every manifest logged since the last drain.
     pub fn drain_manifests(&self) -> Vec<RunManifest> {
         std::mem::take(&mut *self.manifests.lock())
+    }
+
+    /// The memo key of one run under this context's budget and machine.
+    pub(crate) fn run_key(
+        &self,
+        mix: &WorkloadMix,
+        scheme: Scheme,
+        fetch: FetchPolicyKind,
+        salt: u64,
+    ) -> RunKey {
+        let bits = match scheme {
+            Scheme::DvmDynamic { target } => [target.to_bits(), 0],
+            Scheme::DvmStatic { target, ratio } => [target.to_bits(), ratio.to_bits()],
+            _ => [0, 0],
+        };
+        let p = &self.params;
+        RunKey {
+            mix: mix.name.clone(),
+            benchmarks: mix.benchmarks,
+            salt,
+            fetch,
+            scheme: (scheme.label(), bits),
+            config: sim_harness::fnv1a(&format!(
+                "p{}w{}r{}a{}|{:?}",
+                p.profile_insts, p.warmup_insts, p.run_cycles, p.ace_window, self.machine
+            )),
+        }
+    }
+
+    /// The stored outcome of an earlier run with this key, counted as a
+    /// memo hit.
+    pub(crate) fn memo_get(&self, key: &RunKey) -> Option<RunOutcome> {
+        let hit = self.memo.lock().get(key).cloned();
+        if hit.is_some() {
+            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        hit
+    }
+
+    /// Store a finished run's outcome under its key. Cancelled and
+    /// deadlocked runs are not stored; an earlier entry is kept.
+    pub(crate) fn memo_insert(&self, key: RunKey, outcome: &RunOutcome) {
+        if outcome.cancelled || outcome.deadlocked {
+            return;
+        }
+        self.memo
+            .lock()
+            .entry(key)
+            .or_insert_with(|| outcome.clone());
+    }
+
+    /// Runs served from the memo since the last call; the CLI reads it
+    /// with each exhibit's manifests.
+    pub fn take_memo_hits(&self) -> u64 {
+        self.memo_hits.swap(0, Ordering::Relaxed)
     }
 
     /// The profiled, hint-tagged program for one benchmark (cached).

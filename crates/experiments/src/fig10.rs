@@ -120,6 +120,31 @@ pub fn render(result: &Fig10Result) -> Rendered {
 mod tests {
     use super::*;
     use crate::context::ExperimentParams;
+    use crate::fig8;
+
+    #[test]
+    fn after_fig8_reuses_its_runs_and_renders_identically() {
+        let mut params = ExperimentParams::fast();
+        params.profile_insts = 20_000;
+        params.warmup_insts = 10_000;
+        params.run_cycles = 10_000;
+        params.threshold_fracs = [0.5; 5];
+
+        let shared = ExperimentContext::new(params);
+        fig8::run(&shared);
+        assert_eq!(shared.drain_manifests().len(), 18);
+        assert_eq!(shared.take_memo_hits(), 0);
+        let after_fig8 = render(&run(&shared)).to_string();
+        // Figure 8's 9 baselines and 9 dynamic runs are reused; the 27
+        // open-loop and 9 static runs are new.
+        assert_eq!(shared.drain_manifests().len(), 36);
+        assert_eq!(shared.take_memo_hits(), 18);
+
+        let fresh = ExperimentContext::new(params);
+        let alone = render(&run(&fresh)).to_string();
+        assert_eq!(fresh.drain_manifests().len(), 54);
+        assert_eq!(after_fig8, alone);
+    }
 
     #[test]
     fn dvm_beats_open_loop_schemes() {

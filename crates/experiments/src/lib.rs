@@ -15,10 +15,13 @@
 //! | [`fig10`] | Figure 10 | PVE comparison of all schemes at every threshold |
 //!
 //! All runners share an [`ExperimentContext`]: per-benchmark profiled
-//! (ACE-hint-tagged) programs, standard warmup, and the measurement
-//! budget. Independent simulations fan out across a thread pool sized to
-//! the host ([`parallel::parallel_map`]) — simulations share nothing
-//! mutable, so the fan-out is embarrassingly parallel.
+//! (ACE-hint-tagged) programs, standard warmup, the measurement budget,
+//! and a memo of finished runs, so an exhibit reuses the runs an earlier
+//! exhibit on the same context already simulated
+//! ([`runner::run_scheme_salted`]). Independent simulations fan out
+//! across a thread pool sized to the host ([`parallel::parallel_map`])
+//! — simulations share nothing mutable, so the fan-out is
+//! embarrassingly parallel.
 
 pub mod bench;
 pub mod chaos;

@@ -23,10 +23,14 @@
 //!
 //! With no exhibit arguments, everything runs (`all`). `--fast` uses the
 //! reduced measurement budget (quick sanity pass); the default is the
-//! full budget recorded in EXPERIMENTS.md. `--csv DIR` additionally
+//! full budget recorded in EXPERIMENTS.md. Exhibits in one invocation
+//! share runs: a simulation an earlier exhibit already performed is
+//! reused, not repeated, and each exhibit's summary line counts both
+//! (`[fig10 took 16.2s; 45 simulated, 81 reused]`). `--csv DIR` additionally
 //! writes each exhibit's table as `DIR/<exhibit>.csv`. `--manifest DIR`
 //! writes one JSON run manifest per simulation (machine config, seeds,
-//! scheme, budget, phase timings, final metrics). `--trace DIR` exports
+//! scheme, budget, phase timings, final metrics), under the first
+//! exhibit that performed it. `--trace DIR` exports
 //! a Chrome trace-event file per simulation (open in Perfetto or
 //! `chrome://tracing`). `--metrics DIR` records a sim-metrics registry
 //! per simulation and exports its per-interval series as
@@ -40,6 +44,8 @@
 //! trace as a flame chart on the `profile` track.
 //!
 //! `--list` prints the exhibit catalog (name + description) and exits.
+//! `--help` (or `-h`) prints usage and exits 0; any other `--flag` the
+//! CLI does not know exits 1 with usage before anything runs.
 //!
 //! `--jobs N` sets the simulation worker-pool size for all parallel
 //! fan-out (default: `available_parallelism`; use `--jobs 1` on
@@ -177,6 +183,16 @@ const VALUE_FLAGS: [&str; 30] = [
     "--timeout-s",
 ];
 
+/// Flags that take no value.
+const BOOL_FLAGS: [&str; 6] = [
+    "--fast",
+    "--list",
+    "--selfcheck",
+    "--check-avf",
+    "--drain",
+    "--diff",
+];
+
 /// One-line usage reminder printed alongside flag-validation errors.
 const USAGE: &str = "usage: experiments [--fast] [--jobs N] [--profile DIR] [EXHIBIT...] \
      | experiments --list \
@@ -189,6 +205,29 @@ const USAGE: &str = "usage: experiments [--fast] [--jobs N] [--profile DIR] [EXH
      | experiments serve-client VERB [ID] (--dir DIR | --addr HOST:PORT) \
      [--name S] [--kind S] [--seed N] [--steps N] [--payload JSON] \
      [--priority low|normal|high] [--timeout-s N] (see crate docs)";
+
+/// Scan the command line for `--help`/`-h` and for flags the CLI does
+/// not know, skipping the value after each of [`VALUE_FLAGS`] as the
+/// exhibit filter does. `Ok(true)` asks for usage; `Err` names the
+/// first unknown flag.
+fn scan_flags(args: &[String]) -> Result<bool, String> {
+    let mut unknown = None;
+    let mut skip_next = false;
+    for a in args {
+        if std::mem::take(&mut skip_next) {
+            continue;
+        }
+        if a == "--help" || a == "-h" {
+            return Ok(true);
+        }
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            skip_next = true;
+        } else if a.starts_with("--") && !BOOL_FLAGS.contains(&a.as_str()) {
+            unknown.get_or_insert_with(|| format!("unknown flag: {a}"));
+        }
+    }
+    unknown.map_or(Ok(false), Err)
+}
 
 /// Parse one positive-integer flag value. `Ok(None)` when the flag was
 /// not given; `Err` explains the rejection (zero, negative or garbage —
@@ -250,6 +289,20 @@ fn dir_flag_checked(flag: &str, raw: Option<&String>) -> Option<PathBuf> {
 fn main() {
     sim_harness::signal::install_sigint_handler();
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Without this, `--help` would start the full-budget campaign and a
+    // mistyped flag would be dropped by the exhibit filter below.
+    match scan_flags(&args) {
+        Ok(false) => {}
+        Ok(true) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(msg) => {
+            eprintln!("{msg}");
+            eprintln!("{USAGE}");
+            std::process::exit(EXIT_USAGE);
+        }
+    }
     // `report --list` lists the run store, not the exhibit catalog.
     if args.iter().any(|a| a == "--list") && !args.iter().any(|a| a == "report") {
         print!("{}", exhibits::list_text());
@@ -601,6 +654,8 @@ fn main() {
         // Drain per-run manifests accumulated by this exhibit; write
         // them out if requested, otherwise discard to bound memory.
         let manifests = ctx.drain_manifests();
+        let simulated = manifests.len();
+        let reused = ctx.take_memo_hits();
         let mut stages = sim_trace::timing::StageSeconds::default();
         let mut profiled = 0usize;
         for m in &manifests {
@@ -676,7 +731,10 @@ fn main() {
                 stages.profiled_cycles
             );
         }
-        println!("  [{exhibit} took {:.1?}]\n", t0.elapsed());
+        println!(
+            "  [{exhibit} took {:.1?}; {simulated} simulated, {reused} reused]\n",
+            t0.elapsed()
+        );
     }
 }
 
@@ -1086,8 +1144,55 @@ fn run_fault_inject(
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_dir, parse_positive};
+    use super::{parse_dir, parse_positive, scan_flags};
     use std::path::PathBuf;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn help_asks_for_usage_wherever_it_appears() {
+        for line in [
+            "--help",
+            "-h",
+            "--fast --help fig2",
+            "fig2 -h",
+            "--fats --help",
+        ] {
+            assert_eq!(scan_flags(&args(line)), Ok(true), "{line}");
+        }
+    }
+
+    #[test]
+    fn known_flags_and_their_values_pass() {
+        for line in [
+            "",
+            "--fast table2 fig5",
+            "--fast --jobs 2 --csv out --manifest m fig1",
+            "bench-baseline --seeds 2 --selfcheck --resume j",
+            "fault-inject --fast --check-avf --trials 40",
+            "report --store s --diff batch=1 batch=2 --list",
+            "serve --dir d --drain",
+            // A value is never read as a flag, even when it looks like one.
+            "report --store s --title --not-a-flag",
+        ] {
+            assert_eq!(scan_flags(&args(line)), Ok(false), "{line}");
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_named() {
+        for (line, flag) in [
+            ("--fats table2", "--fats"),
+            ("--fast fig2 --manfest m", "--manfest"),
+            ("bench-baseline --seed 2 --check", "--check"),
+            ("--fast --jobs=2 fig2", "--jobs=2"),
+        ] {
+            let err = scan_flags(&args(line)).expect_err(line);
+            assert!(err.contains(flag), "{line}: {err}");
+        }
+    }
 
     #[test]
     fn positive_integers_parse() {

@@ -1,12 +1,14 @@
 //! Run manifests: one self-describing JSON document per simulation.
 //!
 //! A manifest pins down everything needed to reproduce (and audit) one
-//! `run_scheme` invocation — machine configuration, per-benchmark
-//! workload seeds, scheme and fetch policy, measurement budget — plus
-//! what it cost (wall-clock phase timings) and what it produced (final
-//! metrics). The experiments CLI writes one file per run under
-//! `--manifest DIR`; the round-trip through `serde` is part of the test
-//! surface, so downstream tooling can rely on the schema.
+//! simulation — machine configuration, per-benchmark workload seeds,
+//! scheme and fetch policy, measurement budget — plus what it cost
+//! (wall-clock phase timings) and what it produced (final metrics).
+//! There is one manifest per simulation, not per `run_scheme` call: a
+//! call the context serves from its run memo writes none. The
+//! experiments CLI writes one file per simulation under `--manifest
+//! DIR`; the round-trip through `serde` is part of the test surface, so
+//! downstream tooling can rely on the schema.
 
 use crate::context::ExperimentContext;
 use crate::runner::RunOutcome;
@@ -83,7 +85,7 @@ pub struct FinalMetrics {
     pub cycles_per_sec: f64,
 }
 
-/// One run, fully described.
+/// One simulation, fully described.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunManifest {
     /// Stamped [`MANIFEST_SCHEMA_VERSION`].
