@@ -1,7 +1,8 @@
 //! Microbenchmarks of the simulator's hot loops.
 //!
 //! These are the costs that dominate experiment campaigns: pipeline
-//! stepping on CPU- vs MEM-bound mixes, the windowed ACE analysis, the
+//! stepping and `run` (which fast-forwards idle cycles) on CPU- vs
+//! MEM-bound mixes, the windowed ACE analysis, the
 //! offline profiler, and the cache/predictor substrates.
 
 use bench::{cold_pipeline, tagged_mix};
@@ -27,6 +28,33 @@ fn pipeline_stepping(c: &mut Criterion) {
                         p.step(&mut sink);
                     }
                     black_box(p.stats().total_committed())
+                },
+                BatchSize::PerIteration,
+            )
+        });
+    }
+    g.finish();
+}
+
+/// The same 5 K cycles through `run`, which fast-forwards idle cycles
+/// (`pipeline_step` keeps timing the per-cycle path).
+fn pipeline_run(c: &mut Criterion) {
+    let mut g = c.benchmark_group("pipeline_run");
+    g.sample_size(10);
+    for mix in ["CPU-A", "MEM-A"] {
+        let programs = tagged_mix(mix);
+        g.throughput(Throughput::Elements(5_000));
+        g.bench_function(format!("{mix}/5k_cycles"), |b| {
+            b.iter_batched(
+                || {
+                    let mut p = cold_pipeline(&programs);
+                    p.warm_up(50_000);
+                    p
+                },
+                |mut p| {
+                    let mut sink = smt_sim::NullObserver;
+                    let r = p.run(smt_sim::SimLimits::cycles(5_000), &mut sink);
+                    black_box(r.stats.total_committed())
                 },
                 BatchSize::PerIteration,
             )
@@ -143,6 +171,7 @@ fn program_generation(c: &mut Criterion) {
 criterion_group!(
     benches,
     pipeline_stepping,
+    pipeline_run,
     ace_analysis,
     offline_profiler,
     substrates,

@@ -380,13 +380,18 @@ fn cycles_per_sec(cycles: u64, measure_s: f64) -> f64 {
 }
 
 /// Flatten a merged profile report into the manifest's per-stage
-/// breakdown. `None` when profiling was off (the tick span never ran).
+/// breakdown. `None` when profiling was off (no cycle was counted).
+/// The profile covers the window's cycles: stepped (`tick`) plus
+/// fast-forwarded (`fast_forward`).
 fn stage_snapshot(profile: &ProfileReport) -> Option<StageSeconds> {
-    let cycles = profile
-        .nodes
-        .iter()
-        .find(|n| n.name == "tick")
-        .map_or(0, |n| n.calls);
+    let calls = |name: &str| {
+        profile
+            .nodes
+            .iter()
+            .find(|n| n.name == name)
+            .map_or(0, |n| n.calls)
+    };
+    let cycles = calls("tick") + calls("fast_forward");
     if cycles == 0 {
         return None;
     }
@@ -837,6 +842,14 @@ mod tests {
                 report.nodes.iter().any(|n| n.name == name && n.calls > 0),
                 "span {name} missing from exported report"
             );
+        }
+        // Every measured cycle is stepped (one `tick`, one call of each
+        // stage) or fast-forwarded (one `fast_forward` call).
+        let calls = |name: &str| report.nodes.iter().find(|n| n.name == name).unwrap().calls;
+        let ticks = calls("tick");
+        assert_eq!(ticks + calls("fast_forward"), ctx.params.run_cycles);
+        for stage in ["commit", "writeback", "issue", "dispatch", "fetch"] {
+            assert_eq!(calls(stage), ticks, "{stage}");
         }
         // Component trees are grafted under synthetic anchor nodes
         // (zero calls themselves); their children carry the counts.

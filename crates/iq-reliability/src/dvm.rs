@@ -116,6 +116,10 @@ pub struct DvmController {
     last_est: f64,
     /// Cycle of the most recent `begin_cycle` (same purpose).
     last_now: u64,
+    /// Dispatches denied in the cycle of the most recent `begin_cycle`,
+    /// which `skip_idle` repeats. Every cycle rewrites it, so it is not
+    /// serialized.
+    cycle_denials: u64,
 }
 
 /// Adaptation bounds for the dynamic ratio.
@@ -142,6 +146,7 @@ impl DvmController {
     ) -> DvmController {
         assert!(target >= 0.0 && (0.0..=1.0).contains(&trigger_frac));
         assert!(samples_per_interval >= 1 && interval_cycles >= samples_per_interval);
+        assert!(ratio_period >= 1, "the ratio check needs a period");
         let wq_ratio = match mode {
             DvmMode::DynamicRatio => RATIO_MAX / 2.0,
             DvmMode::StaticRatio(r) => r,
@@ -165,6 +170,7 @@ impl DvmController {
             prof: SpanSet::new(SPANS),
             last_est: 0.0,
             last_now: 0,
+            cycle_denials: 0,
         }
     }
 
@@ -188,6 +194,24 @@ impl DvmController {
 
     fn trigger_level(&self) -> f64 {
         self.target * self.trigger_frac
+    }
+
+    fn sample_period(&self) -> u64 {
+        self.interval_cycles / self.samples_per_interval
+    }
+
+    /// The periodic waiting/ready verdict on `view`.
+    fn ratio_verdict(&self, view: &GovernorView) -> bool {
+        let ready = view.ready_len.max(1) as f64;
+        (view.waiting_len as f64 / ready) <= self.wq_ratio
+    }
+
+    /// Count one denied dispatch.
+    fn deny(&mut self) -> bool {
+        self.cycle_denials += 1;
+        self.telemetry.lock().denied_dispatches += 1;
+        self.metrics.counter_add("dvm.denied_dispatches", 1);
+        false
     }
 
     fn on_sample(&mut self, view: &GovernorView) {
@@ -305,8 +329,8 @@ impl DispatchGovernor for DvmController {
 
     fn begin_cycle(&mut self, view: &GovernorView) {
         self.last_now = view.now;
-        let sample_period = self.interval_cycles / self.samples_per_interval;
-        if view.now.is_multiple_of(sample_period) && view.now > 0 {
+        self.cycle_denials = 0;
+        if view.now.is_multiple_of(self.sample_period()) && view.now > 0 {
             let tok = self.prof.enter(SPAN_SAMPLE);
             self.on_sample(view);
             self.prof.exit(tok);
@@ -314,9 +338,32 @@ impl DispatchGovernor for DvmController {
         // The waiting/ready division runs once per ratio period; the
         // verdict is held between evaluations.
         if view.now.is_multiple_of(self.ratio_period) {
-            let ready = view.ready_len.max(1) as f64;
-            self.ratio_ok = (view.waiting_len as f64 / ready) <= self.wq_ratio;
+            self.ratio_ok = self.ratio_verdict(view);
         }
+    }
+
+    /// The next estimate sample, or the next ratio check if re-running
+    /// it on this view would flip the held verdict. Nothing else the
+    /// controller does depends on time: triggers on L2 misses and
+    /// interval rollovers are events the pipeline simulates anyway.
+    fn idle_horizon(&self, view: &GovernorView) -> u64 {
+        let period = self.sample_period();
+        let sample = view.now.max(1).div_ceil(period) * period;
+        if self.ratio_verdict(view) == self.ratio_ok {
+            return sample;
+        }
+        sample.min(view.now.div_ceil(self.ratio_period) * self.ratio_period)
+    }
+
+    /// Repeat the last cycle's denials `cycles` times and advance the
+    /// audit clock; samples and ratio checks lie past the horizon.
+    fn skip_idle(&mut self, cycles: u64) {
+        let denied = self.cycle_denials * cycles;
+        if denied > 0 {
+            self.telemetry.lock().denied_dispatches += denied;
+            self.metrics.counter_add("dvm.denied_dispatches", denied);
+        }
+        self.last_now += cycles;
     }
 
     fn on_interval(&mut self, _snapshot: &IntervalSnapshot, _view: &GovernorView) {}
@@ -472,9 +519,7 @@ impl DvmController {
                     return true;
                 }
             }
-            self.telemetry.lock().denied_dispatches += 1;
-            self.metrics.counter_add("dvm.denied_dispatches", 1);
-            return false;
+            return self.deny();
         }
         // Non-offending threads are throttled through the adaptive
         // waiting/ready ratio: vulnerability beyond what L2 misses cause
@@ -482,9 +527,7 @@ impl DvmController {
         if self.ratio_ok {
             true
         } else {
-            self.telemetry.lock().denied_dispatches += 1;
-            self.metrics.counter_add("dvm.denied_dispatches", 1);
-            false
+            self.deny()
         }
     }
 }
@@ -650,6 +693,82 @@ mod tests {
         let good = view_with(2_050, 0.9, 1, 50, &last, &threads);
         dvm.begin_cycle(&good);
         assert!(dvm.allow_dispatch(&good, 0));
+    }
+
+    #[test]
+    fn idle_horizon_is_the_next_sample_unless_a_ratio_check_flips() {
+        // 10 K-cycle interval, 5 samples: estimates at multiples of 2 000;
+        // ratio checks every 50 cycles.
+        let mut dvm = DvmController::new(0.0, DvmMode::StaticRatio(1.0));
+        let last = IntervalSnapshot::default();
+        let threads = [thread_view(0, 1, false)];
+        // A sample point is its own horizon; cycle 0 never samples.
+        assert_eq!(
+            dvm.idle_horizon(&view_with(0, 0.0, 1, 9, &last, &threads)),
+            2_000
+        );
+        assert_eq!(
+            dvm.idle_horizon(&view_with(1, 0.0, 1, 9, &last, &threads)),
+            2_000
+        );
+        assert_eq!(
+            dvm.idle_horizon(&view_with(2_000, 0.0, 1, 9, &last, &threads)),
+            2_000
+        );
+        // Held verdict "ok" (the initial state); waiting/ready = 1/9 keeps
+        // it, so the 50-cycle checks change nothing.
+        assert_eq!(
+            dvm.idle_horizon(&view_with(2_001, 0.0, 1, 9, &last, &threads)),
+            4_000
+        );
+        // waiting/ready = 90/2 > 1.0 would flip it at the next check.
+        let clogged = view_with(2_001, 0.0, 90, 2, &last, &threads);
+        assert_eq!(dvm.idle_horizon(&clogged), 2_050);
+        dvm.begin_cycle(&view_with(2_050, 0.0, 90, 2, &last, &threads));
+        // Now held "deny": the clogged view no longer flips it...
+        assert_eq!(
+            dvm.idle_horizon(&view_with(2_051, 0.0, 90, 2, &last, &threads)),
+            4_000
+        );
+        // ...and a drained one would, at the next 50-cycle check.
+        assert_eq!(
+            dvm.idle_horizon(&view_with(3_990, 0.0, 1, 9, &last, &threads)),
+            4_000
+        );
+        assert_eq!(
+            dvm.idle_horizon(&view_with(3_901, 0.0, 1, 9, &last, &threads)),
+            3_950
+        );
+    }
+
+    #[test]
+    fn skip_idle_repeats_the_last_cycles_denials() {
+        let mut dvm = DvmController::new(0.0, DvmMode::StaticRatio(0.5));
+        let metrics = Metrics::new();
+        dvm.set_metrics(metrics.clone());
+        let last = IntervalSnapshot::default();
+        let threads = [thread_view(0, 1, false), thread_view(1, 1, false)];
+        // Target 0 triggers at the sample; the clogged ratio denies both
+        // threads from then on.
+        let v = view_with(2_000, 0.9, 90, 2, &last, &threads);
+        dvm.begin_cycle(&v);
+        assert!(!dvm.allow_dispatch(&v, 0));
+        assert!(!dvm.allow_dispatch(&v, 1));
+        dvm.skip_idle(10);
+        let h = dvm.handle();
+        assert_eq!(h.lock().denied_dispatches, 2 + 2 * 10);
+        assert_eq!(
+            metrics.snapshot().counter("dvm.denied_dispatches"),
+            Some(22)
+        );
+        assert_eq!(dvm.last_now, 2_010, "audit clock at the last skipped cycle");
+        // The next simulated cycle starts a fresh count: one allowed
+        // cycle then skipped adds nothing.
+        let v = view_with(2_011, 0.9, 90, 2, &last, &threads);
+        dvm.begin_cycle(&v);
+        dvm.skip_idle(5);
+        assert_eq!(h.lock().denied_dispatches, 22);
+        assert_eq!(dvm.last_now, 2_016);
     }
 
     #[test]

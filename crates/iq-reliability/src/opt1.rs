@@ -174,6 +174,11 @@ impl DispatchGovernor for DynamicIqAllocator {
         view.iq_len < self.iql
     }
 
+    /// The cap moves only at interval rollovers, which are simulated.
+    fn idle_horizon(&self, _view: &GovernorView) -> u64 {
+        u64::MAX
+    }
+
     fn set_tracer(&mut self, tracer: Tracer) {
         self.set_tracer_inner(tracer);
     }

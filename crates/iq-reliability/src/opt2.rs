@@ -118,6 +118,11 @@ impl DispatchGovernor for L2MissSensitiveAllocator {
         self.flush_mode
     }
 
+    /// Mode and cap move only at interval rollovers, which are simulated.
+    fn idle_horizon(&self, _view: &GovernorView) -> u64 {
+        u64::MAX
+    }
+
     fn set_tracer(&mut self, tracer: Tracer) {
         self.opt1.set_tracer_inner(tracer.clone());
         self.tracer = tracer;

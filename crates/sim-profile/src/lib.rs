@@ -60,8 +60,12 @@ pub const DEFAULT_BATCH: u32 = 32;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot {
-    /// Exact number of `enter` calls.
+    /// Exact number of calls: one per [`SpanSet::enter`], plus the batch
+    /// sizes charged by [`SpanSet::exit_batch`].
     calls: u64,
+    /// Entries of either kind: the population the sampled entries
+    /// extrapolate to.
+    entries: u64,
     /// Entries that actually read the clock.
     sampled: u64,
     /// Wall-nanos accumulated over the sampled entries.
@@ -149,11 +153,25 @@ impl SpanSet {
     /// the entry and reads the clock on every `batch`-th entry.
     #[inline]
     pub fn enter(&mut self, id: SpanId) -> SpanToken {
+        self.enter_charging(id, 1)
+    }
+
+    /// Enter span `id` for a batch of work whose size is known only on
+    /// exit: sampled like [`Self::enter`], but the entry charges no call.
+    /// Close it with [`Self::exit_batch`].
+    #[inline]
+    pub fn enter_batch(&mut self, id: SpanId) -> SpanToken {
+        self.enter_charging(id, 0)
+    }
+
+    #[inline]
+    fn enter_charging(&mut self, id: SpanId, calls: u64) -> SpanToken {
         if !self.enabled {
             return SpanToken { id, start: None };
         }
         let slot = &mut self.slots[id];
-        slot.calls += 1;
+        slot.calls += calls;
+        slot.entries += 1;
         if slot.countdown == 0 {
             slot.countdown = self.batch - 1;
             slot.sampled += 1;
@@ -176,14 +194,26 @@ impl SpanSet {
         }
     }
 
-    /// Exact entry count for one span (mostly for tests).
+    /// Close a span opened by [`Self::enter_batch`], charging it `calls`
+    /// calls (the batch size). Its time is estimated per entry, whatever
+    /// the batch sizes.
+    #[inline]
+    pub fn exit_batch(&mut self, tok: SpanToken, calls: u64) {
+        if self.enabled {
+            self.slots[tok.id].calls += calls;
+        }
+        self.exit(tok);
+    }
+
+    /// Exact call count for one span (mostly for tests).
     pub fn calls(&self, id: SpanId) -> u64 {
         self.slots[id].calls
     }
 
     /// Freeze a serializable report. Totals are the sampled nanos
-    /// scaled by `calls / sampled`; self time subtracts the children's
-    /// estimated totals.
+    /// scaled by `entries / sampled` (equal to `calls / sampled` except
+    /// for batch spans); self time subtracts the children's estimated
+    /// totals.
     pub fn report(&self) -> ProfileReport {
         let totals: Vec<u64> = self
             .slots
@@ -192,7 +222,7 @@ impl SpanSet {
                 if s.sampled == 0 {
                     0
                 } else {
-                    ((s.nanos as u128 * s.calls as u128) / s.sampled as u128) as u64
+                    ((s.nanos as u128 * s.entries as u128) / s.sampled as u128) as u64
                 }
             })
             .collect();
@@ -549,6 +579,30 @@ mod tests {
         assert_eq!(n.sampled, 5);
         // 5 sampled sleeps of ≥1ms, scaled ×2: at least ~10ms total.
         assert!(n.total_ns >= 9_000_000, "{}", n.total_ns);
+    }
+
+    #[test]
+    fn batch_spans_charge_their_size_but_extrapolate_per_entry() {
+        let mut s = SpanSet::new(T);
+        s.set_batch(2);
+        s.set_enabled(true);
+        for size in [0u64, 100, 7, 50] {
+            let t = s.enter_batch(0);
+            std::thread::sleep(Duration::from_millis(1));
+            s.exit_batch(t, size);
+        }
+        let r = s.report();
+        let n = &r.nodes[0];
+        assert_eq!(n.calls, 157, "calls are the summed batch sizes");
+        assert_eq!(n.sampled, 2);
+        // 2 sampled sleeps of ≥1ms scaled ×2 (4 entries), not ×78.
+        assert!(n.total_ns >= 3_000_000, "{}", n.total_ns);
+        assert!(n.total_ns < 100_000_000, "{}", n.total_ns);
+        // Disabled: nothing is charged.
+        s.set_enabled(false);
+        let t = s.enter_batch(0);
+        s.exit_batch(t, 5);
+        assert_eq!(s.calls(0), 157);
     }
 
     #[test]

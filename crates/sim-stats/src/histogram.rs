@@ -18,11 +18,20 @@ impl Histogram {
 
     /// Record one observation of `value`.
     pub fn record(&mut self, value: usize) {
+        self.record_n(value, 1);
+    }
+
+    /// Record `n` observations of `value` (the same as `n` calls to
+    /// [`Self::record`]).
+    pub fn record_n(&mut self, value: usize, n: u64) {
+        if n == 0 {
+            return;
+        }
         if value >= self.counts.len() {
             self.counts.resize(value + 1, 0);
         }
-        self.counts[value] += 1;
-        self.total += 1;
+        self.counts[value] += n;
+        self.total += n;
     }
 
     pub fn total(&self) -> u64 {
@@ -109,13 +118,24 @@ impl CompanionHistogram {
     /// Record an observation of `value` with a companion ratio sample
     /// `num/den` (skipped when `den == 0`).
     pub fn record(&mut self, value: usize, num: f64, den: f64) {
-        self.hist.record(value);
+        self.record_n(value, num, den, 1);
+    }
+
+    /// Record `n` observations of `value`, each with the companion
+    /// sample `num/den`. Bit-identical to `n` [`Self::record`] calls when
+    /// the samples are whole numbers and the bucket sums stay below 2^53
+    /// (every partial sum is then exact), as the pipeline's counts do.
+    pub fn record_n(&mut self, value: usize, num: f64, den: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.hist.record_n(value, n);
         if value >= self.num.len() {
             self.num.resize(value + 1, 0.0);
             self.den.resize(value + 1, 0.0);
         }
-        self.num[value] += num;
-        self.den[value] += den;
+        self.num[value] += num * n as f64;
+        self.den[value] += den * n as f64;
     }
 
     pub fn histogram(&self) -> &Histogram {
@@ -245,6 +265,25 @@ mod tests {
         assert_eq!(c.companion(3), None, "bucket past the allocated range");
         assert_eq!(c.companion(usize::MAX), None);
         assert_eq!(c.histogram().count(usize::MAX), 0);
+    }
+
+    #[test]
+    fn record_n_is_bit_identical_to_repeated_record() {
+        let samples = [(3, 2.0, 3.0), (0, 0.0, 0.0), (7, 5.0, 9.0), (3, 1.0, 3.0)];
+        for k in [0u64, 1, 2, 17, 1_000] {
+            let (mut once, mut each) = (CompanionHistogram::new(), CompanionHistogram::new());
+            for &(v, num, den) in &samples {
+                once.record_n(v, num, den, k);
+                for _ in 0..k {
+                    each.record(v, num, den);
+                }
+            }
+            assert_eq!(once.hist.counts, each.hist.counts, "k={k}");
+            assert_eq!(once.hist.total, each.hist.total, "k={k}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&once.num), bits(&each.num), "k={k}");
+            assert_eq!(bits(&once.den), bits(&each.den), "k={k}");
+        }
     }
 
     #[test]

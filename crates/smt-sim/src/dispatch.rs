@@ -93,6 +93,27 @@ pub trait DispatchGovernor {
     /// immediately on this event).
     fn on_l2_miss(&mut self, _tid: ThreadId) {}
 
+    /// The first cycle at or after `view.now` that must be simulated,
+    /// assuming the view stays as it is. `run` and `warm_up` ask after
+    /// every cycle in which nothing moved (nothing committed, completed,
+    /// issued, dispatched or was fetched): up to the returned cycle they
+    /// fast-forward, replaying that cycle's per-cycle counters and
+    /// calling [`Self::skip_idle`] instead of the other hooks. Return a
+    /// cycle no later than the first one at which this governor would
+    /// act differently on an unchanged view — a time-driven decision, a
+    /// sample, an audit event. The default, `view.now`, never
+    /// fast-forwards; a governor whose decisions depend on the view
+    /// alone returns `u64::MAX`.
+    fn idle_horizon(&self, view: &GovernorView) -> u64 {
+        view.now
+    }
+
+    /// Account for `cycles` repeats of the cycle just simulated, skipped
+    /// by the fast-forward (see [`Self::idle_horizon`]): the state and
+    /// counters that [`Self::begin_cycle`] and [`Self::allow_dispatch`]
+    /// would have advanced over those cycles.
+    fn skip_idle(&mut self, _cycles: u64) {}
+
     /// opt2's escape hatch: when `true`, the pipeline applies FLUSH
     /// fetch-policy behaviour this cycle regardless of the configured
     /// fetch policy.
@@ -152,6 +173,10 @@ pub struct UnlimitedDispatch;
 impl DispatchGovernor for UnlimitedDispatch {
     fn name(&self) -> &'static str {
         "unlimited"
+    }
+
+    fn idle_horizon(&self, _view: &GovernorView) -> u64 {
+        u64::MAX
     }
 }
 

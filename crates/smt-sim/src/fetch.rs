@@ -74,11 +74,16 @@ pub trait FetchPolicy {
     fn kind(&self) -> FetchPolicyKind;
 
     /// Thread priority order for this cycle (ICOUNT by default).
+    ///
+    /// Not called on fast-forwarded cycles: the answer must depend only
+    /// on `view` (its `now` excepted) and on state the `on_load_*`
+    /// events update, so a cycle in which nothing moved repeats it.
     fn thread_order(&mut self, view: &FetchView) -> Vec<ThreadId> {
         icount_order(view)
     }
 
-    /// Is thread `tid` fetch-gated this cycle?
+    /// Is thread `tid` fetch-gated this cycle? Same contract as
+    /// [`Self::thread_order`]: not called on fast-forwarded cycles.
     fn gate(&self, _view: &FetchView, _tid: ThreadId) -> bool {
         false
     }
@@ -109,8 +114,9 @@ pub trait FetchPolicy {
 
 /// ICOUNT ordering: fewest in-flight instructions first; ties by thread
 /// id for determinism. Flush-blocked threads are excluded (they cannot
-/// fetch at all). Runs every cycle, so it allocates only the result:
-/// it sorts positions in `view.threads`, then maps them to thread ids.
+/// fetch at all). Runs on every simulated cycle, so it allocates only
+/// the result: it sorts positions in `view.threads`, then maps them to
+/// thread ids.
 pub fn icount_order(view: &FetchView) -> Vec<ThreadId> {
     let threads = view.threads;
     let mut order: Vec<ThreadId> = (0..threads.len())

@@ -59,6 +59,19 @@ impl FuPools {
         latency
     }
 
+    /// The first cycle after `now` at which a unit busy at `now`
+    /// becomes free (`u64::MAX` if every unit is free): the next cycle
+    /// whose [`Self::can_issue`] answers can differ from `now`'s.
+    pub fn next_release_after(&self, now: u64) -> u64 {
+        self.busy_until
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|&b| b > now)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
     /// Units of `kind` free at `now` (diagnostics).
     pub fn free_units(&self, kind: FuKind, now: u64) -> usize {
         self.busy_until[kind.index()]
@@ -123,6 +136,18 @@ mod tests {
             assert!(!fu.can_issue(OpClass::IDiv, cycle), "cycle {cycle}");
         }
         assert!(fu.can_issue(OpClass::IDiv, 12));
+    }
+
+    #[test]
+    fn next_release_is_the_earliest_busy_unit() {
+        let mut fu = FuPools::new([1, 1, 1, 1, 1]);
+        assert_eq!(fu.next_release_after(0), u64::MAX, "all free");
+        fu.issue(OpClass::IDiv, 0); // busy through cycle 11
+        fu.issue(OpClass::IAlu, 0); // pipelined: busy for cycle 0 only
+        assert_eq!(fu.next_release_after(0), 1);
+        assert_eq!(fu.next_release_after(1), 12);
+        assert_eq!(fu.next_release_after(11), 12);
+        assert_eq!(fu.next_release_after(12), u64::MAX);
     }
 
     #[test]

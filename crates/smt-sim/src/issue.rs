@@ -30,6 +30,9 @@ pub struct ReadyInst {
 /// function-unit constraints.
 pub trait IssuePolicy {
     fn name(&self) -> &'static str;
+    /// Order `ready` for this cycle. Not called on fast-forwarded cycles
+    /// (see `DispatchGovernor::idle_horizon`): the order must depend
+    /// only on `ready`, so a cycle in which nothing moved repeats it.
     fn prioritize(&mut self, ready: &mut Vec<ReadyInst>);
 }
 

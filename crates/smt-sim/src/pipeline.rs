@@ -58,10 +58,12 @@ use std::sync::Arc;
 use std::time::Instant;
 use workload_gen::{Program, ThreadEngine};
 
+mod idle;
 pub mod inject;
 pub mod snapshot;
 mod wakeup;
 
+use idle::CycleTally;
 pub use snapshot::HookAction;
 use wakeup::WakeupState;
 
@@ -94,6 +96,11 @@ pub mod spans {
     pub const SNAPSHOT: SpanId = 10;
     /// Interval-boundary `--selfcheck` invariant sweep (outside `tick`).
     pub const SELFCHECK: SpanId = 11;
+    /// Fast-forwarding idle cycles (outside `tick`): its calls are the
+    /// cycles skipped, its time the horizon searches and the closed-form
+    /// accounting. `tick` calls plus `fast_forward` calls are the cycles
+    /// simulated.
+    pub const FAST_FORWARD: SpanId = 12;
 
     pub const TABLE: &[SpanDef] = &[
         SpanDef {
@@ -142,6 +149,10 @@ pub mod spans {
         },
         SpanDef {
             name: "selfcheck",
+            parent: None,
+        },
+        SpanDef {
+            name: "fast_forward",
             parent: None,
         },
     ];
@@ -270,6 +281,15 @@ pub struct Pipeline {
     /// every transition so wakeup and select never scan the IQ. Derived
     /// state: rebuilt on restore, never serialized.
     wakeup: WakeupState,
+    /// What the current cycle adds to the per-cycle counters (see
+    /// `idle`). Rewritten by every simulated cycle, never serialized.
+    tally: CycleTally,
+    /// Bumped wherever a cycle does more than count: an unchanged value
+    /// across a `step` marks the cycle idle. Never serialized.
+    activity: u64,
+    /// Cycles this pipeline object has fast-forwarded since it was
+    /// built. Host-side only: never serialized, never reset.
+    fast_forwarded: u64,
     // Buffers reused every cycle so the tick does not allocate. Their
     // contents never outlive the stage that fills them.
     ready_buf: Vec<ReadyInst>,
@@ -348,6 +368,9 @@ impl Pipeline {
             cancel: CancelToken::default(),
             interval_index: 0,
             wakeup: WakeupState::default(),
+            tally: CycleTally::default(),
+            activity: 0,
+            fast_forwarded: 0,
             ready_buf: Vec::with_capacity(config.iq_size),
             views_buf: Vec::with_capacity(config.num_threads),
             squash_buf: Vec::new(),
@@ -454,6 +477,13 @@ impl Pipeline {
         self.now
     }
 
+    /// Cycles that `run` and `warm_up` have fast-forwarded instead of
+    /// stepping, over this pipeline object's life (host-side; see
+    /// DESIGN §4).
+    pub fn fast_forwarded_cycles(&self) -> u64 {
+        self.fast_forwarded
+    }
+
     /// Run until `limits` are reached, reporting retirements to
     /// `observer`. Cooperative cancellation is polled on the interval
     /// clock so the atomic load costs nothing on the per-cycle path
@@ -469,13 +499,14 @@ impl Pipeline {
     /// the role of the paper's SimPoint fast-forward: detailed statistics
     /// start from a warmed machine. Returns the cycle measurement starts
     /// at — pass it to `AvfCollector`-style observers so their interval
-    /// indexing aligns.
+    /// indexing aligns. Idle cycles are fast-forwarded, bit-identically
+    /// to stepping them (DESIGN §4).
     pub fn warm_up(&mut self, insts: u64) -> u64 {
         let mut sink = crate::events::NullObserver;
         let target = self.stats.total_committed() + insts;
+        let watchdog = crate::config::DEFAULT_WATCHDOG_CYCLES;
         while self.stats.total_committed() < target
-            && self.now.saturating_sub(self.last_commit_cycle)
-                <= crate::config::DEFAULT_WATCHDOG_CYCLES
+            && self.now.saturating_sub(self.last_commit_cycle) <= watchdog
         {
             // Warmup is often the longest phase of a run, so deadlines
             // must be able to stop it too (same interval-clock poll as
@@ -483,7 +514,14 @@ impl Pipeline {
             if self.now.is_multiple_of(self.interval_cycles) && self.cancel.is_cancelled() {
                 break;
             }
+            let activity = self.activity;
             self.step(&mut sink);
+            if self.activity == activity {
+                // Stop at the next cancel poll or watchdog check.
+                let poll = idle::next_multiple(self.now, self.interval_cycles);
+                let starved = self.last_commit_cycle.saturating_add(watchdog + 1);
+                self.fast_forward(poll.min(starved));
+            }
         }
         let n = self.threads.len();
         self.stats = SimStats::new(n);
@@ -511,7 +549,10 @@ impl Pipeline {
         self.now
     }
 
-    /// Advance one cycle.
+    /// Advance exactly one cycle. Unlike `run` and `warm_up`, `step`
+    /// never fast-forwards: it is the per-cycle reference the fast path
+    /// is tested against, and what loops that inspect or inject into
+    /// every cycle call.
     pub fn step(&mut self, observer: &mut dyn SimObserver) {
         if self.prof.is_enabled() {
             self.step_profiled(observer);
@@ -589,6 +630,7 @@ impl Pipeline {
                 retired += 1;
             }
             if retired > 0 {
+                self.activity += retired as u64;
                 self.tracer.emit(|| TraceEvent::Commit {
                     cycle: self.now,
                     tid,
@@ -611,6 +653,7 @@ impl Pipeline {
                 _ => break,
             }
             let Reverse((_, id, seq)) = self.events.pop().unwrap();
+            self.activity += 1;
             // Stale event (instruction squashed; slot possibly recycled).
             if !self.slab.contains(id) || self.slab.get(id).inst.seq != seq {
                 continue;
@@ -927,11 +970,11 @@ impl Pipeline {
         let selectable_ace = ready.iter().filter(|r| r.ace_hint).count();
         let rql = ready.len() + executing;
         let ace_ready = selectable_ace + executing_ace;
-        self.stats.diag_ready_selectable += ready.len() as u64;
-        self.stats.diag_ready_selectable_ace += selectable_ace as u64;
-        self.stats.diag_executing += executing as u64;
-        self.stats.diag_executing_ace += executing_ace as u64;
-        self.stats.diag_ready_wrong_path += ready.iter().filter(|r| r.wrong_path).count() as u64;
+        self.tally.selectable = ready.len() as u64;
+        self.tally.selectable_ace = selectable_ace as u64;
+        self.tally.executing = executing as u64;
+        self.tally.executing_ace = executing_ace as u64;
+        self.tally.ready_wrong_path = ready.iter().filter(|r| r.wrong_path).count() as u64;
         // Publish the ready/waiting split for this cycle's dispatch
         // governors. "Ready" uses the paper's ready-queue definition
         // (operands available — waiting-to-issue or executing, the same
@@ -940,12 +983,8 @@ impl Pipeline {
         // ratio of these two.
         self.cur_ready_len = rql;
         self.cur_waiting_len = self.iq.len() - rql;
-        self.stats
-            .ready_queue_hist
-            .record(rql, ace_ready as f64, rql as f64);
-        self.stats.ready_len_sum += rql as u64;
-        self.iv_ready_sum += rql as u64;
-        self.iv_ready_ace_sum += ace_ready as u64;
+        self.tally.ready_len = rql;
+        self.tally.ready_ace = ace_ready;
         self.prof.exit(wakeup);
 
         let select = self.prof.enter(spans::SELECT);
@@ -1083,6 +1122,7 @@ impl Pipeline {
         }
         self.ready_buf = ready;
         if issued > 0 {
+            self.activity += issued as u64;
             self.tracer.emit(|| TraceEvent::Issue {
                 cycle: self.now,
                 count: issued,
@@ -1229,6 +1269,7 @@ impl Pipeline {
                 });
             }
             if dispatched > 0 {
+                self.activity += dispatched as u64;
                 self.tracer.emit(|| TraceEvent::Dispatch {
                     cycle: self.now,
                     tid,
@@ -1236,9 +1277,7 @@ impl Pipeline {
                 });
             }
         }
-        if governor_blocked && iq_len < self.config.iq_size {
-            self.stats.governor_stall_cycles += 1;
-        }
+        self.tally.governor_stall = u64::from(governor_blocked && iq_len < self.config.iq_size);
         self.dispatch_rr = (self.dispatch_rr + 1) % n;
         self.views_buf = views;
     }
@@ -1258,6 +1297,9 @@ impl Pipeline {
         };
         let mut budget = self.config.width;
         let mut threads_used = 0usize;
+        self.tally.fetch_blocked_stall = 0;
+        self.tally.fetch_blocked_gate = 0;
+        self.tally.fetch_blocked_fq_full = 0;
         for tid in order {
             if budget == 0 || threads_used >= self.config.fetch_threads_per_cycle {
                 break;
@@ -1266,7 +1308,7 @@ impl Pipeline {
             {
                 let t = &self.threads[tidx];
                 if t.flush_blocked || self.now < t.ifetch_stall_until {
-                    self.stats.fetch_blocked_stall += 1;
+                    self.tally.fetch_blocked_stall += 1;
                     continue;
                 }
                 let view = FetchView {
@@ -1274,11 +1316,11 @@ impl Pipeline {
                     threads: &views,
                 };
                 if self.policies.fetch.gate(&view, tid) {
-                    self.stats.fetch_blocked_gate += 1;
+                    self.tally.fetch_blocked_gate += 1;
                     continue;
                 }
                 if t.fetch_queue.len() >= self.config.fetch_queue_size {
-                    self.stats.fetch_blocked_fq_full += 1;
+                    self.tally.fetch_blocked_fq_full += 1;
                     continue;
                 }
             }
@@ -1288,6 +1330,7 @@ impl Pipeline {
                 None => self.threads[tidx].engine.peek_pc(),
             };
             let access = self.mem.access_inst(tid, first_pc);
+            self.activity += 1;
             if access.l1_miss {
                 self.threads[tidx].ifetch_stall_until = self.now + access.latency as u64;
                 self.stats.fetch_blocked_icache += 1;
@@ -1401,12 +1444,12 @@ impl Pipeline {
     // ------------------------------------------------------------------
 
     fn end_of_cycle(&mut self) {
-        let iq_len = self.iq.len() as u64;
-        self.stats.iq_occupancy_sum += iq_len;
-        self.iv_iq_sum += iq_len;
-        self.iv_hint_bits += self.iq.hint_bits_resident();
+        self.tally.iq_len = self.iq.len() as u64;
+        self.tally.hint_bits = self.iq.hint_bits_resident();
+        self.apply_tally(1);
 
         if self.now + 1 - self.iv_start >= self.interval_cycles {
+            self.activity += 1;
             let cycles = self.now + 1 - self.iv_start;
             let total_bits = self.config.iq_size as u64 * crate::layout::IQ_ENTRY_BITS as u64;
             let snapshot = IntervalSnapshot {
@@ -1873,10 +1916,14 @@ mod tests {
                 .find(|n| n.name == name)
                 .unwrap_or_else(|| panic!("span {name} missing"))
         };
-        // Every pipeline span fires exactly once per cycle...
-        let cycles = p.cycle();
+        // Every cycle is either stepped (one `tick`) or fast-forwarded
+        // (one `fast_forward` call)...
+        let ticks = node("tick").calls;
+        assert_eq!(ticks + node("fast_forward").calls, p.cycle());
+        assert_eq!(p.fast_forwarded_cycles(), node("fast_forward").calls);
+        assert!(node("fast_forward").parent.is_none(), "outside tick");
+        // ...every stage span fires exactly once per tick...
         for name in [
-            "tick",
             "commit",
             "writeback",
             "issue",
@@ -1886,11 +1933,11 @@ mod tests {
             "fetch",
             "end_of_cycle",
         ] {
-            assert_eq!(node(name).calls, cycles, "{name}");
+            assert_eq!(node(name).calls, ticks, "{name}");
         }
         // ...and the baseline governor is consulted at least once per
-        // cycle (begin_cycle), more when dispatch slots are contested.
-        assert!(node("governor").calls >= cycles);
+        // tick (begin_cycle), more when dispatch slots are contested.
+        assert!(node("governor").calls >= ticks);
         // Component profiles are grafted under anchors outside `tick`:
         // the memory hierarchy and branch predictor did real work.
         let anchor = |name: &str| {

@@ -446,7 +446,10 @@ impl Pipeline {
     /// sampling-interval boundary (before the cancellation poll). The
     /// harness uses it to take checkpoints and run `--selfcheck`
     /// invariant sweeps on the interval clock; a hook returning
-    /// [`HookAction::Stop`] ends the run like a cancellation.
+    /// [`HookAction::Stop`] ends the run like a cancellation. Idle
+    /// cycles are fast-forwarded, never past a cycle at which one of
+    /// the loop's checks could fire, so the result is bit-identical to
+    /// stepping every cycle (DESIGN §4).
     pub fn run_hooked(
         &mut self,
         limits: SimLimits,
@@ -481,7 +484,23 @@ impl Pipeline {
                 deadlocked = true;
                 break;
             }
+            let activity = self.activity;
             self.step(observer);
+            if self.activity == activity {
+                // Stop at the next cycle limit, hook/cancel poll or
+                // watchdog check.
+                let start = self.measure_start;
+                let limit = start.saturating_add(limits.max_cycles);
+                let poll = start.saturating_add(super::idle::next_multiple(
+                    self.now - start,
+                    self.interval_cycles,
+                ));
+                let oldest = self.thread_last_commit.iter().copied().min().unwrap_or(0);
+                let starved = oldest
+                    .saturating_add(limits.watchdog_cycles)
+                    .saturating_add(1);
+                self.fast_forward(limit.min(poll).min(starved));
+            }
         }
         self.stats.cycles = self.now - self.measure_start;
         observer.on_finish(self.now);

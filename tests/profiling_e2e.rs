@@ -70,7 +70,19 @@ fn profiled_run_attributes_tick_time_and_exports_artifacts() {
         .position(|n| n.name == "tick")
         .expect("tick span present");
     let tick = &report.nodes[tick_idx];
-    assert!(tick.calls >= ctx.params.run_cycles, "tick per cycle");
+    // Each measured cycle is either stepped (one `tick`) or skipped by
+    // the idle fast-forward (one `fast_forward` call, outside `tick`).
+    let fast_forward = report
+        .nodes
+        .iter()
+        .find(|n| n.name == "fast_forward")
+        .expect("fast_forward span present");
+    assert!(fast_forward.parent.is_none(), "fast_forward nested in tick");
+    assert_eq!(
+        tick.calls + fast_forward.calls,
+        ctx.params.run_cycles,
+        "stepped plus fast-forwarded cycles"
+    );
     assert!(tick.total_ns > 0);
     let attributed: u64 = report
         .nodes
@@ -94,7 +106,7 @@ fn profiled_run_attributes_tick_time_and_exports_artifacts() {
         "fetch",
     ] {
         let n = report.nodes.iter().find(|n| n.name == span).unwrap();
-        assert!(n.calls > 0, "{span} never entered");
+        assert_eq!(n.calls, tick.calls, "{span} once per tick");
     }
 
     // The collapsed-stack export parses back and leads with the tick.
