@@ -41,7 +41,6 @@ pub mod quick;
 pub mod report;
 pub mod reportcmd;
 pub mod runner;
-pub mod serve;
 pub mod table1;
 pub mod table2;
 pub mod table3;
@@ -64,4 +63,3 @@ pub use reportcmd::{cmd_report, register_inject, register_manifest, ArtifactDirs
 pub use runner::{
     run_scheme, run_scheme_checkpointed, run_scheme_salted, run_stats_only, RunOutcome,
 };
-pub use serve::{cmd_serve, cmd_serve_client, ServeArgs, ServeClientArgs};

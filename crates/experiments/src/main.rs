@@ -14,11 +14,6 @@
 //! experiments report --store DIR [--list] [--diff SEL_A SEL_B]
 //!             [--html FILE] [--title TITLE]
 //! experiments chaos [--seed N] [--rounds N] [--scratch DIR] [--out FILE]
-//! experiments serve --dir DIR [--addr HOST:PORT] [--serve-workers N]
-//!             [--max-queued N] [--deadline-s N] [--drain] [--store DIR]
-//! experiments serve-client VERB [ID] (--dir DIR | --addr HOST:PORT)
-//!             [--name S] [--kind S] [--seed N] [--steps N]
-//!             [--payload JSON] [--priority low|normal|high] [--timeout-s N]
 //! ```
 //!
 //! With no exhibit arguments, everything runs (`all`). `--fast` uses the
@@ -45,7 +40,10 @@
 //!
 //! `--list` prints the exhibit catalog (name + description) and exits.
 //! `--help` (or `-h`) prints usage and exits 0; any other `--flag` the
-//! CLI does not know exits 1 with usage before anything runs.
+//! CLI does not know exits 1 with usage before anything runs. So does a
+//! value flag given as the last argument, and a path flag whose value
+//! is empty or starts with `--` (a missing value that swallowed the
+//! next flag).
 //!
 //! `--jobs N` sets the simulation worker-pool size for all parallel
 //! fan-out (default: `available_parallelism`; use `--jobs 1` on
@@ -113,20 +111,6 @@
 //! and `--out FILE` writes the timestamp-free report JSON. Exits `3`
 //! on any contract violation, keeping the scratch tree for inspection.
 //!
-//! `serve` hosts the crash-safe campaign daemon (`sim-serve`) over a
-//! state directory: every submission and lifecycle transition is
-//! durable in `DIR/queue.jsonl`, so a `kill -9` loses nothing —
-//! restart with the same `--dir` and pending work is re-admitted
-//! (checkpointed jobs resume from their latest valid snapshot).
-//! `--drain` exits once the recovered backlog is empty. `serve-client`
-//! talks to a running daemon (endpoint discovered through `--dir`):
-//! `submit` prints the new job id, `status`/`list`/`stats` print JSON
-//! documents, `cancel` cancels, `wait` polls one job (or, without an
-//! id, the whole queue) to completion, and `results` prints one
-//! sorted, nondeterminism-free JSON line per completed job so two
-//! runs of the same batch diff byte-identically — the CI smoke job's
-//! recovery oracle.
-//!
 //! Exit codes: `0` success, `1` usage error (bad flags or unknown
 //! exhibits — rejected up front before any simulation starts), `2`
 //! campaign completed but quarantined at least one job, `3` fatal
@@ -150,7 +134,7 @@ const EXIT_PARTIAL: i32 = 2;
 const EXIT_FATAL: i32 = 3;
 
 /// Flags that consume the following argument.
-const VALUE_FLAGS: [&str; 30] = [
+const VALUE_FLAGS: [&str; 20] = [
     "--csv",
     "--manifest",
     "--trace",
@@ -171,27 +155,10 @@ const VALUE_FLAGS: [&str; 30] = [
     "--seed",
     "--rounds",
     "--scratch",
-    "--dir",
-    "--addr",
-    "--serve-workers",
-    "--max-queued",
-    "--name",
-    "--kind",
-    "--steps",
-    "--payload",
-    "--priority",
-    "--timeout-s",
 ];
 
 /// Flags that take no value.
-const BOOL_FLAGS: [&str; 6] = [
-    "--fast",
-    "--list",
-    "--selfcheck",
-    "--check-avf",
-    "--drain",
-    "--diff",
-];
+const BOOL_FLAGS: [&str; 5] = ["--fast", "--list", "--selfcheck", "--check-avf", "--diff"];
 
 /// One-line usage reminder printed alongside flag-validation errors.
 const USAGE: &str = "usage: experiments [--fast] [--jobs N] [--profile DIR] [EXHIBIT...] \
@@ -200,20 +167,17 @@ const USAGE: &str = "usage: experiments [--fast] [--jobs N] [--profile DIR] [EXH
      [--resume DIR] [--snapshot-every CYCLES] [--selfcheck] [--heartbeat-s N] \
      | experiments report --store DIR [--list] [--diff SEL_A SEL_B] [--html FILE] \
      | experiments chaos [--seed N] [--rounds N] [--scratch DIR] [--out FILE] \
-     | experiments serve --dir DIR [--addr HOST:PORT] [--serve-workers N] \
-     [--max-queued N] [--deadline-s N] [--drain] [--store DIR] \
-     | experiments serve-client VERB [ID] (--dir DIR | --addr HOST:PORT) \
-     [--name S] [--kind S] [--seed N] [--steps N] [--payload JSON] \
-     [--priority low|normal|high] [--timeout-s N] (see crate docs)";
+     (see crate docs)";
 
 /// Scan the command line for `--help`/`-h` and for flags the CLI does
 /// not know, skipping the value after each of [`VALUE_FLAGS`] as the
 /// exhibit filter does. `Ok(true)` asks for usage; `Err` names the
-/// first unknown flag.
+/// first unknown flag, or a value flag given as the last argument (its
+/// value is missing, and reading it as absent would drop it silently).
 fn scan_flags(args: &[String]) -> Result<bool, String> {
-    let mut unknown = None;
+    let mut rejected = None;
     let mut skip_next = false;
-    for a in args {
+    for (i, a) in args.iter().enumerate() {
         if std::mem::take(&mut skip_next) {
             continue;
         }
@@ -221,12 +185,23 @@ fn scan_flags(args: &[String]) -> Result<bool, String> {
             return Ok(true);
         }
         if VALUE_FLAGS.contains(&a.as_str()) {
+            if i + 1 == args.len() {
+                rejected.get_or_insert_with(|| format!("{a} wants a value, got nothing"));
+            }
             skip_next = true;
         } else if a.starts_with("--") && !BOOL_FLAGS.contains(&a.as_str()) {
-            unknown.get_or_insert_with(|| format!("unknown flag: {a}"));
+            rejected.get_or_insert_with(|| format!("unknown flag: {a}"));
         }
     }
-    unknown.map_or(Ok(false), Err)
+    rejected.map_or(Ok(false), Err)
+}
+
+/// The argument after the first occurrence of `flag`, if any.
+fn value_of<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .map(String::as_str)
 }
 
 /// Parse one positive-integer flag value. `Ok(None)` when the flag was
@@ -243,47 +218,35 @@ fn parse_positive(flag: &str, raw: Option<&str>) -> Result<Option<u64>, String> 
     }
 }
 
-/// [`parse_positive`] that exits with usage on a rejected value.
-fn positive_flag(flag: &str, raw: Option<&String>) -> Option<u64> {
-    match parse_positive(flag, raw.map(|s| s.as_str())) {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("{msg}");
-            eprintln!("{USAGE}");
-            std::process::exit(EXIT_USAGE);
-        }
-    }
-}
-
-/// Parse one directory-valued flag. `Ok(None)` when the flag was not
-/// given; `Err` when its value is missing, empty, or another flag (the
-/// argument slot was consumed by the next option — a silent foot-gun if
-/// accepted as a directory name).
+/// Parse one path-valued flag. `Ok(None)` when the flag was not given;
+/// `Err` when its value is empty or another flag (the argument slot was
+/// consumed by the next option — a silent foot-gun if accepted as a
+/// path).
 fn parse_dir(flag: &str, raw: Option<&str>) -> Result<Option<PathBuf>, String> {
     let Some(raw) = raw else {
         return Ok(None);
     };
     if raw.is_empty() {
-        return Err(format!("{flag} wants a directory, got an empty string"));
+        return Err(format!("{flag} wants a path, got an empty string"));
     }
     if raw.starts_with("--") {
         return Err(format!(
-            "{flag} wants a directory, got flag-like {raw:?} (value missing?)"
+            "{flag} wants a path, got flag-like {raw:?} (value missing?)"
         ));
     }
     Ok(Some(PathBuf::from(raw)))
 }
 
-/// [`parse_dir`] that exits with usage on a rejected value.
-fn dir_flag_checked(flag: &str, raw: Option<&String>) -> Option<PathBuf> {
-    match parse_dir(flag, raw.map(|s| s.as_str())) {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("{msg}");
-            eprintln!("{USAGE}");
-            std::process::exit(EXIT_USAGE);
-        }
-    }
+/// Print `msg` and the usage line, then exit with [`EXIT_USAGE`].
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(EXIT_USAGE)
+}
+
+/// Unwrap a flag check, exiting with usage when it was rejected.
+fn or_usage<T>(checked: Result<T, String>) -> T {
+    checked.unwrap_or_else(|msg| usage_error(&msg))
 }
 
 fn main() {
@@ -291,17 +254,9 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Without this, `--help` would start the full-budget campaign and a
     // mistyped flag would be dropped by the exhibit filter below.
-    match scan_flags(&args) {
-        Ok(false) => {}
-        Ok(true) => {
-            println!("{USAGE}");
-            return;
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            eprintln!("{USAGE}");
-            std::process::exit(EXIT_USAGE);
-        }
+    if or_usage(scan_flags(&args)) {
+        println!("{USAGE}");
+        return;
     }
     // `report --list` lists the run store, not the exhibit catalog.
     if args.iter().any(|a| a == "--list") && !args.iter().any(|a| a == "report") {
@@ -309,30 +264,15 @@ fn main() {
         return;
     }
     let fast = args.iter().any(|a| a == "--fast");
-    let value_of = |flag: &str| -> Option<&String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-    };
-    let dir_flag = |flag: &str| -> Option<PathBuf> { value_of(flag).map(PathBuf::from) };
-    // A flag that was given must have swallowed a usable value; a flag
-    // given as the last argument reads its value as `None` and must be
-    // rejected, not silently ignored.
-    let require_value = |flag: &str| {
-        if args.iter().any(|a| a == flag) && value_of(flag).is_none() {
-            eprintln!("{flag} wants a value, got nothing");
-            eprintln!("{USAGE}");
-            std::process::exit(EXIT_USAGE);
-        }
-    };
+    let value = |flag: &str| value_of(&args, flag);
+    let positive_flag = |flag: &str| or_usage(parse_positive(flag, value(flag)));
+    let dir_flag = |flag: &str| or_usage(parse_dir(flag, value(flag)));
     let csv_dir = dir_flag("--csv");
     let manifest_dir = dir_flag("--manifest");
     let trace_dir = dir_flag("--trace");
     let metrics_dir = dir_flag("--metrics");
-    require_value("--profile");
-    let profile_dir = dir_flag_checked("--profile", value_of("--profile"));
-    require_value("--store");
-    let store_dir = dir_flag_checked("--store", value_of("--store"));
+    let profile_dir = dir_flag("--profile");
+    let store_dir = dir_flag("--store");
     // With a run store, manifests and metrics default into its artifact
     // directory so a single `--store` flag yields a chartable store;
     // explicit `--manifest`/`--metrics` still win.
@@ -341,15 +281,13 @@ fn main() {
         .map(|d| d.join(sim_report::RunStore::ARTIFACT_DIR));
     let manifest_dir = manifest_dir.or_else(|| artifact_default.clone());
     let metrics_dir = metrics_dir.or_else(|| artifact_default.clone());
-    if let Some(n) = positive_flag("--jobs", value_of("--jobs")) {
+    if let Some(n) = positive_flag("--jobs") {
         sim_harness::set_default_jobs(n as usize);
     }
-    let deadline = positive_flag("--deadline-s", value_of("--deadline-s")).map(Duration::from_secs);
-    let snapshot_every = positive_flag("--snapshot-every", value_of("--snapshot-every"));
+    let deadline = positive_flag("--deadline-s").map(Duration::from_secs);
+    let snapshot_every = positive_flag("--snapshot-every");
     let selfcheck = args.iter().any(|a| a == "--selfcheck");
-    require_value("--heartbeat-s");
-    let heartbeat =
-        positive_flag("--heartbeat-s", value_of("--heartbeat-s")).map(Duration::from_secs);
+    let heartbeat = positive_flag("--heartbeat-s").map(Duration::from_secs);
     let resume_dir = dir_flag("--resume");
     let campaign_cfg = HarnessConfig {
         deadline,
@@ -378,19 +316,15 @@ fn main() {
 
     if requested.first() == Some(&"report") {
         let Some(store) = store_dir else {
-            eprintln!("report wants --store DIR (the run store to read)");
-            eprintln!("{USAGE}");
-            std::process::exit(EXIT_USAGE);
+            usage_error("report wants --store DIR (the run store to read)");
         };
-        require_value("--html");
-        require_value("--title");
         let report_args = experiments::ReportArgs {
             store,
             list: args.iter().any(|a| a == "--list"),
             diff: args.iter().any(|a| a == "--diff"),
             selectors: requested[1..].iter().map(|s| s.to_string()).collect(),
-            html: dir_flag_checked("--html", value_of("--html")),
-            title: value_of("--title").cloned(),
+            html: dir_flag("--html"),
+            title: value("--title").map(String::from),
         };
         std::process::exit(experiments::cmd_report(&report_args));
     }
@@ -402,119 +336,18 @@ fn main() {
             std::process::exit(EXIT_USAGE);
         }
         // Seed 0 is legitimate — parse it as any u64, not "positive".
-        require_value("--seed");
-        let seed = match value_of("--seed") {
-            Some(raw) => match raw.parse::<u64>() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("--seed wants an unsigned integer, got {raw:?}");
-                    eprintln!("{USAGE}");
-                    std::process::exit(EXIT_USAGE);
-                }
-            },
-            None => 0,
-        };
-        let rounds = positive_flag("--rounds", value_of("--rounds")).unwrap_or(20);
-        require_value("--scratch");
-        require_value("--out");
+        let seed = value("--seed").map_or(0, |raw| {
+            raw.parse::<u64>().unwrap_or_else(|_| {
+                usage_error(&format!("--seed wants an unsigned integer, got {raw:?}"))
+            })
+        });
         let chaos_args = experiments::ChaosArgs {
             seed,
-            rounds,
-            scratch: dir_flag_checked("--scratch", value_of("--scratch")),
-            out: dir_flag_checked("--out", value_of("--out")),
+            rounds: positive_flag("--rounds").unwrap_or(20),
+            scratch: dir_flag("--scratch"),
+            out: dir_flag("--out"),
         };
         std::process::exit(experiments::cmd_chaos(&chaos_args));
-    }
-
-    if requested.first() == Some(&"serve") {
-        let extra: Vec<&str> = requested[1..].to_vec();
-        if !extra.is_empty() {
-            eprintln!("serve takes no exhibit arguments: {extra:?}");
-            std::process::exit(EXIT_USAGE);
-        }
-        require_value("--dir");
-        let Some(dir) = dir_flag_checked("--dir", value_of("--dir")) else {
-            eprintln!("serve wants --dir DIR (the daemon state directory)");
-            eprintln!("{USAGE}");
-            std::process::exit(EXIT_USAGE);
-        };
-        require_value("--addr");
-        let serve_args = experiments::ServeArgs {
-            dir,
-            addr: value_of("--addr").cloned(),
-            workers: positive_flag("--serve-workers", value_of("--serve-workers")),
-            max_queued: positive_flag("--max-queued", value_of("--max-queued")),
-            deadline,
-            drain: args.iter().any(|a| a == "--drain"),
-            store: store_dir,
-        };
-        std::process::exit(experiments::cmd_serve(&serve_args));
-    }
-
-    if requested.first() == Some(&"serve-client") {
-        let Some(verb) = requested.get(1) else {
-            eprintln!("serve-client wants a verb (submit|status|list|results|cancel|stats|wait|healthz|shutdown)");
-            eprintln!("{USAGE}");
-            std::process::exit(EXIT_USAGE);
-        };
-        let id = match requested.get(2) {
-            None => None,
-            Some(raw) => match raw.parse::<u64>() {
-                Ok(n) => Some(n),
-                Err(_) => {
-                    eprintln!("serve-client {verb} wants a numeric job id, got {raw:?}");
-                    std::process::exit(EXIT_USAGE);
-                }
-            },
-        };
-        if requested.len() > 3 {
-            eprintln!(
-                "serve-client takes one verb and at most one id: extra {:?}",
-                &requested[3..]
-            );
-            std::process::exit(EXIT_USAGE);
-        }
-        require_value("--dir");
-        require_value("--addr");
-        require_value("--name");
-        require_value("--kind");
-        require_value("--payload");
-        require_value("--priority");
-        // Seed 0 is legitimate — parse it as any u64, not "positive".
-        require_value("--seed");
-        let seed = match value_of("--seed") {
-            Some(raw) => match raw.parse::<u64>() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("--seed wants an unsigned integer, got {raw:?}");
-                    eprintln!("{USAGE}");
-                    std::process::exit(EXIT_USAGE);
-                }
-            },
-            None => 0,
-        };
-        let client_args = experiments::ServeClientArgs {
-            dir: dir_flag_checked("--dir", value_of("--dir")),
-            addr: value_of("--addr").cloned(),
-            verb: verb.to_string(),
-            id,
-            name: value_of("--name")
-                .cloned()
-                .unwrap_or_else(|| "job".to_string()),
-            kind: value_of("--kind")
-                .cloned()
-                .unwrap_or_else(|| "synthetic".to_string()),
-            seed,
-            steps: positive_flag("--steps", value_of("--steps")).unwrap_or(100),
-            payload: value_of("--payload").cloned().unwrap_or_default(),
-            priority: value_of("--priority")
-                .cloned()
-                .unwrap_or_else(|| "normal".to_string()),
-            timeout: Duration::from_secs(
-                positive_flag("--timeout-s", value_of("--timeout-s")).unwrap_or(120),
-            ),
-        };
-        std::process::exit(experiments::cmd_serve_client(&client_args));
     }
 
     if requested.first() == Some(&"bench-baseline") {
@@ -523,7 +356,7 @@ fn main() {
             eprintln!("bench-baseline takes no exhibit arguments: {extra:?}");
             std::process::exit(EXIT_USAGE);
         }
-        let seeds = positive_flag("--seeds", value_of("--seeds")).unwrap_or(3);
+        let seeds = positive_flag("--seeds").unwrap_or(3);
         run_bench_baseline(
             seeds,
             dir_flag("--out"),
@@ -544,8 +377,8 @@ fn main() {
             eprintln!("fault-inject takes no exhibit arguments: {extra:?}");
             std::process::exit(EXIT_USAGE);
         }
-        let seeds = positive_flag("--seeds", value_of("--seeds")).unwrap_or(3);
-        let trials = positive_flag("--trials", value_of("--trials")).unwrap_or(120);
+        let seeds = positive_flag("--seeds").unwrap_or(3);
+        let trials = positive_flag("--trials").unwrap_or(120);
         run_fault_inject(
             seeds,
             trials,
@@ -1144,7 +977,7 @@ fn run_fault_inject(
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_dir, parse_positive, scan_flags};
+    use super::{parse_dir, parse_positive, scan_flags, value_of};
     use std::path::PathBuf;
 
     fn args(line: &str) -> Vec<String> {
@@ -1173,7 +1006,6 @@ mod tests {
             "bench-baseline --seeds 2 --selfcheck --resume j",
             "fault-inject --fast --check-avf --trials 40",
             "report --store s --diff batch=1 batch=2 --list",
-            "serve --dir d --drain",
             // A value is never read as a flag, even when it looks like one.
             "report --store s --title --not-a-flag",
         ] {
@@ -1188,8 +1020,29 @@ mod tests {
             ("--fast fig2 --manfest m", "--manfest"),
             ("bench-baseline --seed 2 --check", "--check"),
             ("--fast --jobs=2 fig2", "--jobs=2"),
+            // `serve` is not a subcommand; its flags are unknown like any typo.
+            ("serve --dir d --drain", "--dir"),
         ] {
             let err = scan_flags(&args(line)).expect_err(line);
+            assert!(err.contains(flag), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn missing_and_flag_like_values_are_rejected() {
+        // A value flag given last has no value; one followed by another
+        // flag would read that flag as its path. Both must fail, naming
+        // the flag, instead of being dropped or creating `./--fast`.
+        for (line, flag) in [
+            ("table2 --csv", "--csv"),
+            ("--csv --fast table2", "--csv"),
+            ("bench-baseline --check-baseline", "--check-baseline"),
+            ("--fast fig2 --jobs", "--jobs"),
+        ] {
+            let a = args(line);
+            let err = scan_flags(&a)
+                .and_then(|_| parse_dir(flag, value_of(&a, flag)))
+                .expect_err(line);
             assert!(err.contains(flag), "{line}: {err}");
         }
     }

@@ -473,7 +473,8 @@ fn export_profile(
 }
 
 /// When the context carries a trace directory, attach a per-run Chrome
-/// trace exporter and coarse stage self-profiling to the pipeline.
+/// trace exporter and turn on the sim-profile span profiler, whose tree
+/// [`stage_snapshot`] flattens into the manifest's stage seconds.
 fn attach_tracing(
     ctx: &ExperimentContext,
     pipeline: &mut Pipeline,

@@ -57,7 +57,7 @@ pub use backoff::Backoff;
 pub use error::JobError;
 pub use fsutil::{atomic_write, atomic_write_bytes, atomic_write_bytes_in, tmp_sibling};
 pub use journal::{fnv1a, JobKey, Journal, JournalLoadStats, JOURNAL_SCHEMA_VERSION};
-pub use quarantine::{Quarantine, QuarantineEntry, QUARANTINE_SCHEMA_VERSION};
+pub use quarantine::{Quarantine, QuarantineEntry};
 pub use sim_chaos::{sweep_tmp_files, RealFs, Vfs};
 pub use snapshot::{LoadedSnapshot, SnapshotStore};
 pub use supervisor::{

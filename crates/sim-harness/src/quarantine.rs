@@ -1,36 +1,15 @@
 //! Quarantine registry: sideline jobs that keep failing so the rest of
-//! the campaign can complete.
-//!
-//! The registry can be persisted through the [`Vfs`] seam
-//! ([`Quarantine::save_in`] / [`Quarantine::load_in`]) so long-running
-//! services remember which job keys were sidelined across restarts —
-//! without persistence, a crash-looping daemon would re-try (and
-//! re-crash on) every poisoned job after every restart.
+//! the campaign can complete. The registry lives in memory for one
+//! campaign; [`Quarantine::report`] is what the campaign manifest and
+//! the bench and fault-inject reports record as their quarantined
+//! section.
 
 use std::collections::HashMap;
-use std::path::Path;
 
 use serde::{Deserialize, Serialize};
-use sim_chaos::Vfs;
 
 use crate::error::JobError;
-use crate::fsutil::atomic_write_bytes_in;
 use crate::journal::JobKey;
-
-/// Version stamped into the persisted registry file; files with a
-/// different version load as empty (their keys get re-tried once,
-/// which is safe) rather than being misread.
-pub const QUARANTINE_SCHEMA_VERSION: u32 = 1;
-
-/// Serialized form of the registry. Counts are a sorted vec rather
-/// than a map so the file bytes are deterministic for a given state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct PersistedQuarantine {
-    v: u32,
-    threshold: u32,
-    counts: Vec<(JobKey, u32)>,
-    entries: Vec<QuarantineEntry>,
-}
 
 /// One quarantined job, as reported in the campaign manifest.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -108,78 +87,6 @@ impl Quarantine {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Force `key` into quarantine immediately, recording `failures`
-    /// prior failed attempts and the final `error`. Used by services
-    /// that run their retry loop elsewhere (e.g. a supervised worker
-    /// pool) and only report the terminal verdict to a shared,
-    /// persistent registry. Returns `true` when the key was newly
-    /// quarantined, `false` when it already was.
-    pub fn quarantine_now(&mut self, key: &JobKey, failures: u32, error: &JobError) -> bool {
-        if self.is_quarantined(key) {
-            return false;
-        }
-        let count = self.counts.entry(key.clone()).or_insert(0);
-        *count = (*count).max(self.threshold).max(failures);
-        self.entries.push(QuarantineEntry {
-            key: key.clone(),
-            failures: failures.max(self.threshold),
-            error: error.clone(),
-        });
-        true
-    }
-
-    /// Persist the registry to `path` as a single atomic write (tmp +
-    /// fsync + rename + parent-dir fsync through
-    /// [`atomic_write_bytes_in`]), so a crash mid-save leaves the
-    /// previous file intact — readers see the old registry or the new
-    /// one, never a torn hybrid.
-    pub fn save_in(&self, vfs: &dyn Vfs, path: &Path) -> Result<(), JobError> {
-        let mut counts: Vec<(JobKey, u32)> =
-            self.counts.iter().map(|(k, c)| (k.clone(), *c)).collect();
-        counts.sort();
-        let persisted = PersistedQuarantine {
-            v: QUARANTINE_SCHEMA_VERSION,
-            threshold: self.threshold,
-            counts,
-            entries: self.entries.clone(),
-        };
-        let text = serde::json::to_string_pretty(&persisted);
-        atomic_write_bytes_in(vfs, path, text.as_bytes()).map_err(|e| JobError::Io {
-            detail: format!("writing quarantine registry {}: {e}", path.display()),
-        })
-    }
-
-    /// Load a registry persisted by [`Quarantine::save_in`]. A missing
-    /// file is an empty registry (first boot); a file with a different
-    /// schema version also loads empty (its keys get one more trial,
-    /// which is safe). Unreadable or unparseable bytes are a typed
-    /// error — the caller decides whether to start empty or abort —
-    /// and `threshold` always comes from the caller's current config,
-    /// not the file, so an operator can lower it without editing state.
-    pub fn load_in(vfs: &dyn Vfs, path: &Path, threshold: u32) -> Result<Quarantine, JobError> {
-        let mut q = Quarantine::new(threshold);
-        if !vfs.exists(path) {
-            return Ok(q);
-        }
-        let bytes = vfs.read(path).map_err(|e| JobError::Io {
-            detail: format!("reading quarantine registry {}: {e}", path.display()),
-        })?;
-        let text = String::from_utf8_lossy(&bytes);
-        let persisted: PersistedQuarantine =
-            serde::json::from_str(&text).map_err(|e| JobError::Corrupt {
-                detail: format!(
-                    "quarantine registry {} failed to decode: {e:?}",
-                    path.display()
-                ),
-            })?;
-        if persisted.v != QUARANTINE_SCHEMA_VERSION {
-            return Ok(q);
-        }
-        q.counts = persisted.counts.into_iter().collect();
-        q.entries = persisted.entries;
-        Ok(q)
-    }
 }
 
 #[cfg(test)]
@@ -230,120 +137,6 @@ mod tests {
         assert_eq!(q.threshold(), 1);
         assert!(q.record_failure(&key(1), &err()));
         assert!(q.is_quarantined(&key(1)));
-    }
-
-    #[test]
-    fn persists_and_reloads_through_vfs() {
-        use sim_chaos::RealFs;
-        let dir = std::env::temp_dir()
-            .join("sim-harness-quarantine")
-            .join("persists_and_reloads");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("quarantine.json");
-
-        let mut q = Quarantine::new(2);
-        q.record_failure(&key(1), &err());
-        q.record_failure(&key(1), &err()); // quarantined
-        q.record_failure(&key(2), &err()); // one strike, not quarantined
-        q.save_in(&RealFs, &path).unwrap();
-
-        let loaded = Quarantine::load_in(&RealFs, &path, 2).unwrap();
-        assert!(loaded.is_quarantined(&key(1)));
-        assert!(!loaded.is_quarantined(&key(2)));
-        assert_eq!(loaded.failures(&key(2)), 1, "partial counts survive too");
-        assert_eq!(loaded.report(), q.report());
-        // One more strike on key 2 quarantines it using the carried
-        // count — the whole point of persisting counts, not just
-        // entries.
-        let mut loaded = loaded;
-        assert!(loaded.record_failure(&key(2), &err()));
-    }
-
-    #[test]
-    fn missing_file_loads_empty() {
-        use sim_chaos::RealFs;
-        let path = std::env::temp_dir().join("sim-harness-quarantine-nonexistent.json");
-        let _ = std::fs::remove_file(&path);
-        let q = Quarantine::load_in(&RealFs, &path, 3).unwrap();
-        assert!(q.is_empty());
-        assert_eq!(q.threshold(), 3);
-    }
-
-    #[test]
-    fn corrupt_file_is_a_typed_error() {
-        use sim_chaos::RealFs;
-        let dir = std::env::temp_dir()
-            .join("sim-harness-quarantine")
-            .join("corrupt_file");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("quarantine.json");
-        std::fs::write(&path, b"{\"v\":1, torn-mid-wri").unwrap();
-        let e = Quarantine::load_in(&RealFs, &path, 3).unwrap_err();
-        assert!(matches!(e, JobError::Corrupt { .. }), "got {e:?}");
-    }
-
-    #[test]
-    fn wrong_version_loads_empty_not_garbage() {
-        use sim_chaos::RealFs;
-        let dir = std::env::temp_dir()
-            .join("sim-harness-quarantine")
-            .join("wrong_version");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("quarantine.json");
-        std::fs::write(
-            &path,
-            b"{\"v\":999,\"threshold\":1,\"counts\":[],\"entries\":[]}",
-        )
-        .unwrap();
-        let q = Quarantine::load_in(&RealFs, &path, 3).unwrap();
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn quarantine_now_forces_entry_idempotently() {
-        let mut q = Quarantine::new(3);
-        assert!(q.quarantine_now(&key(5), 7, &err()));
-        assert!(q.is_quarantined(&key(5)));
-        assert_eq!(q.report().len(), 1);
-        assert_eq!(q.report()[0].failures, 7);
-        // Second call is a no-op.
-        assert!(!q.quarantine_now(&key(5), 9, &err()));
-        assert_eq!(q.report().len(), 1);
-    }
-
-    #[test]
-    fn save_is_atomic_under_chaos() {
-        use sim_chaos::{ChaosConfig, ChaosFs, FaultSpec, RealFs};
-        let dir = std::env::temp_dir()
-            .join("sim-harness-quarantine")
-            .join("save_is_atomic");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("quarantine.json");
-
-        let mut q = Quarantine::new(1);
-        q.record_failure(&key(1), &err());
-        q.save_in(&RealFs, &path).unwrap();
-
-        // A save that tears its rename fails typed and leaves the old
-        // registry intact.
-        let mut q2 = Quarantine::new(1);
-        q2.record_failure(&key(2), &err());
-        let cfs = ChaosFs::new(ChaosConfig::new(
-            9,
-            FaultSpec {
-                p_torn_rename: 1.0,
-                ..FaultSpec::off()
-            },
-        ));
-        let e = q2.save_in(&cfs, &path).unwrap_err();
-        assert!(matches!(e, JobError::Io { .. }), "got {e:?}");
-        let survivor = Quarantine::load_in(&RealFs, &path, 1).unwrap();
-        assert!(survivor.is_quarantined(&key(1)), "old registry survives");
-        assert!(!survivor.is_quarantined(&key(2)));
     }
 
     #[test]

@@ -999,6 +999,36 @@ mod tests {
     }
 
     #[test]
+    fn single_worker_runs_each_completion_hook_before_the_next_job() {
+        let (obs, _) = obs_with_flag();
+        let cfg = HarnessConfig {
+            jobs: Some(1),
+            ..fast_cfg()
+        };
+        let log = Mutex::new(Vec::new());
+        let out = run_supervised(
+            items(6),
+            |seed: &u64, _ctx| {
+                log.lock().push(format!("start {seed}"));
+                Ok::<u64, JobError>(*seed)
+            },
+            &cfg,
+            &obs,
+            |_, seed: &u64| {
+                // A slow hook (a journal append and its fsync) must still
+                // land before the worker starts the next job.
+                std::thread::sleep(Duration::from_millis(20));
+                log.lock().push(format!("done {seed}"));
+            },
+        );
+        assert!(out.fully_completed());
+        let expected: Vec<String> = (0..6)
+            .flat_map(|i| [format!("start {i}"), format!("done {i}")])
+            .collect();
+        assert_eq!(log.into_inner(), expected);
+    }
+
+    #[test]
     fn heartbeat_line_reports_progress_and_eta() {
         let line = format_heartbeat(2, 8, Duration::from_secs(10), 50_000_000);
         assert!(line.contains("2/8 jobs"), "{line}");

@@ -28,8 +28,9 @@
 //! reads the clock; totals are estimated as
 //! `sampled_nanos × calls / sampled`. At the default batch a profiled
 //! release-mode tick carries roughly one `Instant` pair per cycle
-//! spread over a dozen sites — well under the 5 % budget that the old
-//! every-entry [`sim_trace::timing::StageProfile`] (~10 %) blew.
+//! spread over a dozen sites — well under the 5 % budget that an
+//! every-entry stage timer (two clock reads per stage per cycle, ~10 %)
+//! blows.
 //!
 //! # Exports
 //!

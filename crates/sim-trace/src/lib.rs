@@ -15,7 +15,7 @@
 //!   tracks and governor/DVM decisions to instant events.
 //!
 //! The [`timing`] module provides the coarse wall-clock phase timers
-//! used by run manifests and stage self-profiling.
+//! and the per-stage seconds used by run manifests.
 
 pub mod chrome;
 pub mod events;

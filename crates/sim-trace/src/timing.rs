@@ -1,8 +1,8 @@
-//! Coarse wall-clock self-profiling: named phase timers for run
-//! manifests and per-stage accumulators for the pipeline.
+//! Coarse wall-clock self-profiling: named phase timers and the
+//! per-stage seconds that run manifests carry.
 
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Wall-clock durations of the coarse phases of one experiment run.
 /// All values are host seconds (not simulated time).
@@ -32,131 +32,8 @@ impl PhaseTimings {
     }
 }
 
-/// Identifier for one pipeline stage in stage-level self-profiling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    Commit,
-    Writeback,
-    Issue,
-    Dispatch,
-    Fetch,
-}
-
-impl Stage {
-    pub const ALL: [Stage; 5] = [
-        Stage::Commit,
-        Stage::Writeback,
-        Stage::Issue,
-        Stage::Dispatch,
-        Stage::Fetch,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Commit => "commit",
-            Stage::Writeback => "writeback",
-            Stage::Issue => "issue",
-            Stage::Dispatch => "dispatch",
-            Stage::Fetch => "fetch",
-        }
-    }
-}
-
-/// Accumulated wall-clock time per pipeline stage. Disabled by default:
-/// when off, `enter` returns `None` and the simulator pays one branch
-/// per stage call. When enabled it costs two `Instant::now()` calls per
-/// stage per cycle — meaningful (~10%), which is why it is opt-in.
-#[derive(Debug, Clone, Default)]
-pub struct StageProfile {
-    enabled: bool,
-    totals: [Duration; 5],
-    cycles: u64,
-}
-
-/// RAII guard: charges elapsed time to its stage on drop.
-pub struct StageSpan<'p> {
-    profile: &'p mut StageProfile,
-    stage: Stage,
-    start: Instant,
-}
-
-impl StageProfile {
-    pub fn new(enabled: bool) -> StageProfile {
-        StageProfile {
-            enabled,
-            ..StageProfile::default()
-        }
-    }
-
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    #[inline]
-    pub fn enter(&mut self, stage: Stage) -> Option<StageSpan<'_>> {
-        if !self.enabled {
-            return None;
-        }
-        Some(StageSpan {
-            stage,
-            start: Instant::now(),
-            profile: self,
-        })
-    }
-
-    /// Charge an externally-measured duration to a stage (for callers
-    /// whose borrow structure cannot hold a [`StageSpan`] across the
-    /// stage call).
-    #[inline]
-    pub fn record(&mut self, stage: Stage, elapsed: Duration) {
-        if self.enabled {
-            self.totals[stage as usize] += elapsed;
-        }
-    }
-
-    /// Count one simulated cycle (for per-cycle averages).
-    #[inline]
-    pub fn tick_cycle(&mut self) {
-        if self.enabled {
-            self.cycles += 1;
-        }
-    }
-
-    pub fn total(&self, stage: Stage) -> Duration {
-        self.totals[stage as usize]
-    }
-
-    pub fn profiled_cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// `(stage name, accumulated seconds)` rows, pipeline order.
-    pub fn rows(&self) -> Vec<(&'static str, f64)> {
-        Stage::ALL
-            .iter()
-            .map(|&s| (s.name(), self.totals[s as usize].as_secs_f64()))
-            .collect()
-    }
-
-    /// Serializable snapshot for run manifests and reports.
-    pub fn snapshot(&self) -> StageSeconds {
-        StageSeconds {
-            commit_s: self.total(Stage::Commit).as_secs_f64(),
-            writeback_s: self.total(Stage::Writeback).as_secs_f64(),
-            issue_s: self.total(Stage::Issue).as_secs_f64(),
-            dispatch_s: self.total(Stage::Dispatch).as_secs_f64(),
-            fetch_s: self.total(Stage::Fetch).as_secs_f64(),
-            profiled_cycles: self.cycles,
-        }
-    }
-}
-
-/// Wall-clock seconds spent in each pipeline stage over a profiled run
-/// — the flattened, serializable form of a [`StageProfile`].
+/// Wall-clock seconds spent in each pipeline stage over a profiled run,
+/// flattened from the sim-profile span tree for run manifests.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StageSeconds {
     pub commit_s: f64,
@@ -184,15 +61,10 @@ impl StageSeconds {
     }
 }
 
-impl Drop for StageSpan<'_> {
-    fn drop(&mut self) {
-        self.profile.totals[self.stage as usize] += self.start.elapsed();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn phase_timer_accumulates() {
@@ -216,36 +88,6 @@ mod tests {
         };
         let back: PhaseTimings = serde::json::from_str(&serde::json::to_string(&timings)).unwrap();
         assert_eq!(back, timings);
-    }
-
-    #[test]
-    fn disabled_profile_records_nothing() {
-        let mut profile = StageProfile::new(false);
-        assert!(profile.enter(Stage::Issue).is_none());
-        profile.tick_cycle();
-        assert_eq!(profile.profiled_cycles(), 0);
-        assert_eq!(profile.total(Stage::Issue), Duration::ZERO);
-    }
-
-    #[test]
-    fn enabled_profile_charges_stages() {
-        let mut profile = StageProfile::new(true);
-        {
-            let span = profile.enter(Stage::Fetch);
-            std::thread::sleep(Duration::from_millis(1));
-            drop(span);
-        }
-        profile.tick_cycle();
-        assert!(profile.total(Stage::Fetch) > Duration::ZERO);
-        assert_eq!(profile.total(Stage::Commit), Duration::ZERO);
-        assert_eq!(profile.profiled_cycles(), 1);
-        let rows = profile.rows();
-        assert_eq!(rows.len(), 5);
-        assert_eq!(rows[4].0, "fetch");
-        let snap = profile.snapshot();
-        assert!(snap.fetch_s > 0.0);
-        assert_eq!(snap.profiled_cycles, 1);
-        assert!((snap.total_s() - snap.fetch_s).abs() < 1e-12);
     }
 
     #[test]
