@@ -16,22 +16,31 @@
 //!    un-ACE. This is exactly the approximation of Mukherjee et al.'s
 //!    40 000-instruction post-graduate analysis window.
 //!
-//! The analyzer is generic over a `payload` carried per instruction and
-//! returned at finalization, so the AVF collector attaches full
-//! retirement events while the offline profiler attaches nothing.
+//! A window entry holds only what that walk needs — producer links as
+//! backward distances, the written register, the ACE mark and the
+//! last-read cycle — plus a `payload` the caller attaches and gets back
+//! at finalization: the AVF collector attaches residency timing, the
+//! offline profiler the PC.
 
-use micro_isa::{OpClass, Pc, Reg, ThreadId};
+use micro_isa::{OpClass, Reg, ThreadId};
 use sim_snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::VecDeque;
 
 /// The paper's analysis-window size (instructions per thread).
 pub const DEFAULT_ACE_WINDOW: usize = 40_000;
 
+/// Entries reserved per thread up front: the whole window up to this
+/// size, so the paper's window never regrows, while a very wide window
+/// grows only as far as a run fills it.
+const MAX_RESERVED: usize = 65_536;
+
+/// `Entry::last_read` of a value no in-window instruction read.
+const NEVER_READ: u64 = u64::MAX;
+
 /// The per-instruction facts the dataflow analysis needs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct AceInstRecord {
     pub tid: ThreadId,
-    pub pc: Pc,
     pub op: OpClass,
     pub dest: Option<Reg>,
     pub srcs: [Option<Reg>; 2],
@@ -40,45 +49,44 @@ pub struct AceInstRecord {
     pub commit_cycle: u64,
 }
 
-impl Snap for AceInstRecord {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put(&self.tid);
-        w.put(&self.pc);
-        w.put(&self.op);
-        w.put(&self.dest);
-        w.put(&self.srcs);
-        w.put(&self.commit_cycle);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(AceInstRecord {
-            tid: r.get()?,
-            pc: r.get()?,
-            op: r.get()?,
-            dest: r.get()?,
-            srcs: r.get()?,
-            commit_cycle: r.get()?,
-        })
-    }
-}
-
 /// A finalized classification handed to the caller's sink.
 #[derive(Debug)]
 pub struct Finalized<P> {
-    pub rec: AceInstRecord,
+    pub payload: P,
     pub ace: bool,
+    /// The register the instruction wrote, if any.
+    pub dest: Option<Reg>,
     /// Commit cycle of the last in-window reader of this instruction's
     /// result (None if never read) — the register-file live interval end.
     pub last_read_cycle: Option<u64>,
-    pub payload: P,
 }
 
 struct Entry<P> {
-    rec: AceInstRecord,
-    producers: [Option<u64>; 2],
-    ace: bool,
-    last_read_cycle: Option<u64>,
     payload: P,
+    /// Commit cycle of the last in-window reader, or `NEVER_READ`.
+    last_read: u64,
+    /// Distance back (in this thread's commit order) to the producer of
+    /// each source; 0 = no in-window producer.
+    producers: [u32; 2],
+    dest: Option<Reg>,
+    ace: bool,
+}
+
+impl<P> Entry<P> {
+    fn finalized(self) -> Finalized<P> {
+        Finalized {
+            payload: self.payload,
+            ace: self.ace,
+            dest: self.dest,
+            last_read_cycle: (self.last_read != NEVER_READ).then_some(self.last_read),
+        }
+    }
+}
+
+/// Size of one window entry carrying payload `P`, for the per-caller
+/// size guards: the entries are the analysis's whole working set.
+pub(crate) const fn entry_size<P>() -> usize {
+    std::mem::size_of::<Entry<P>>()
 }
 
 struct ThreadWindow<P> {
@@ -90,20 +98,14 @@ struct ThreadWindow<P> {
 }
 
 impl<P> ThreadWindow<P> {
-    fn new() -> Self {
+    fn new(window: usize) -> Self {
         ThreadWindow {
             base: 0,
-            entries: VecDeque::new(),
+            // `push` appends before it slides, so the window briefly
+            // holds one entry more than its size.
+            entries: VecDeque::with_capacity(window.min(MAX_RESERVED) + 1),
             last_writer: [None; micro_isa::reg::NUM_REGS],
         }
-    }
-
-    #[inline]
-    fn get_mut(&mut self, idx: u64) -> Option<&mut Entry<P>> {
-        if idx < self.base {
-            return None;
-        }
-        self.entries.get_mut((idx - self.base) as usize)
     }
 }
 
@@ -118,16 +120,20 @@ pub fn is_sink(op: OpClass) -> bool {
 pub struct AceAnalyzer<P> {
     window: usize,
     threads: Vec<ThreadWindow<P>>,
-    /// Scratch stack for the producer-closure walk.
-    walk: Vec<u64>,
+    /// Scratch stack (window positions) for the producer-closure walk.
+    walk: Vec<usize>,
 }
 
 impl<P> AceAnalyzer<P> {
     pub fn new(num_threads: usize, window: usize) -> AceAnalyzer<P> {
         assert!(window >= 1);
+        // Producer distances never exceed the window and are stored as u32.
+        assert!(window < u32::MAX as usize, "ACE window {window} too large");
         AceAnalyzer {
             window,
-            threads: (0..num_threads).map(|_| ThreadWindow::new()).collect(),
+            threads: (0..num_threads)
+                .map(|_| ThreadWindow::new(window))
+                .collect(),
             walk: Vec::new(),
         }
     }
@@ -145,18 +151,20 @@ impl<P> AceAnalyzer<P> {
         payload: P,
         finalize: &mut impl FnMut(Finalized<P>),
     ) {
-        let tid = rec.tid as usize;
-        let tw = &mut self.threads[tid];
+        let tw = &mut self.threads[rec.tid as usize];
         let idx = tw.base + tw.entries.len() as u64;
 
         // Resolve producers and update their last-read stamps.
-        let mut producers = [None, None];
-        for (slot, src) in producers.iter_mut().zip(rec.srcs.iter()) {
+        let mut producers = [0u32; 2];
+        for (slot, src) in producers.iter_mut().zip(rec.srcs) {
             if let Some(reg) = src {
                 if let Some(widx) = tw.last_writer[reg.flat_index()] {
-                    if let Some(w) = tw.get_mut(widx) {
-                        w.last_read_cycle = Some(rec.commit_cycle);
-                        *slot = Some(widx);
+                    if let Some(w) = widx
+                        .checked_sub(tw.base)
+                        .and_then(|pos| tw.entries.get_mut(pos as usize))
+                    {
+                        w.last_read = rec.commit_cycle;
+                        *slot = (idx - widx) as u32;
                     }
                 }
             }
@@ -166,51 +174,40 @@ impl<P> AceAnalyzer<P> {
             tw.last_writer[d.flat_index()] = Some(idx);
         }
         tw.entries.push_back(Entry {
-            rec,
-            producers,
-            ace: sink, // sinks are ACE by definition; others start un-ACE
-            last_read_cycle: None,
             payload,
+            last_read: NEVER_READ,
+            producers,
+            dest: rec.dest,
+            ace: sink, // sinks are ACE by definition; others start un-ACE
         });
 
         // A sink makes its entire producer closure ACE.
         if sink {
             debug_assert!(self.walk.is_empty());
-            for p in producers.into_iter().flatten() {
-                self.walk.push(p);
-            }
-            while let Some(widx) = self.walk.pop() {
-                let Some(e) = self.threads[tid].get_mut(widx) else {
-                    continue; // producer already left the window
-                };
+            let pos = tw.entries.len() - 1;
+            push_producers(&mut self.walk, pos, producers);
+            while let Some(p) = self.walk.pop() {
+                let e = &mut tw.entries[p];
                 if e.ace {
                     continue;
                 }
                 e.ace = true;
-                for p in e.producers.into_iter().flatten() {
-                    self.walk.push(p);
-                }
+                push_producers(&mut self.walk, p, e.producers);
             }
         }
 
         // Slide the window.
-        let tw = &mut self.threads[tid];
         while tw.entries.len() > self.window {
             let e = tw.entries.pop_front().unwrap();
             let idx = tw.base;
             tw.base += 1;
             // Retire stale last-writer references.
-            if let Some(d) = e.rec.dest {
+            if let Some(d) = e.dest {
                 if tw.last_writer[d.flat_index()] == Some(idx) {
                     tw.last_writer[d.flat_index()] = None;
                 }
             }
-            finalize(Finalized {
-                rec: e.rec,
-                ace: e.ace,
-                last_read_cycle: e.last_read_cycle,
-                payload: e.payload,
-            });
+            finalize(e.finalized());
         }
     }
 
@@ -219,23 +216,30 @@ impl<P> AceAnalyzer<P> {
         for tw in &mut self.threads {
             while let Some(e) = tw.entries.pop_front() {
                 tw.base += 1;
-                finalize(Finalized {
-                    rec: e.rec,
-                    ace: e.ace,
-                    last_read_cycle: e.last_read_cycle,
-                    payload: e.payload,
-                });
+                finalize(e.finalized());
             }
             tw.last_writer = [None; micro_isa::reg::NUM_REGS];
         }
     }
 }
 
+/// Queue the producers of the entry at window position `pos` that are
+/// still in the window.
+#[inline]
+fn push_producers(walk: &mut Vec<usize>, pos: usize, producers: [u32; 2]) {
+    for d in producers {
+        let d = d as usize;
+        if d != 0 && d <= pos {
+            walk.push(pos - d);
+        }
+    }
+}
+
 impl<P: Snap> AceAnalyzer<P> {
     /// Serialize the full analysis state: per-thread window base, every
-    /// in-flight entry (record, producer links, ACE mark, last-read
-    /// stamp, payload) and the last-writer table. The `walk` scratch is
-    /// always empty between pushes, so it is not stored.
+    /// in-flight entry (payload, last-read stamp, producer distances,
+    /// written register, ACE mark) and the last-writer table. The `walk`
+    /// scratch is always empty between pushes, so it is not stored.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put(&(self.window as u64));
         w.put(&(self.threads.len() as u64));
@@ -243,11 +247,11 @@ impl<P: Snap> AceAnalyzer<P> {
             w.put(&tw.base);
             w.put(&(tw.entries.len() as u64));
             for e in &tw.entries {
-                w.put(&e.rec);
-                w.put(&e.producers);
-                w.put(&e.ace);
-                w.put(&e.last_read_cycle);
                 e.payload.save(w);
+                w.put(&e.last_read);
+                w.put(&e.producers);
+                w.put(&e.dest);
+                w.put(&e.ace);
             }
             for slot in &tw.last_writer {
                 w.put(slot);
@@ -256,7 +260,10 @@ impl<P: Snap> AceAnalyzer<P> {
     }
 
     /// Restore onto an analyzer constructed with the same thread count
-    /// and window; both are validated against the stored values.
+    /// and window; both are validated against the stored values, and so
+    /// is every link: a producer before the thread's first instruction
+    /// or a last writer that is not yet in the window describes an
+    /// impossible analysis and is refused.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let window = r.get_u64()? as usize;
         if window != self.window {
@@ -280,18 +287,35 @@ impl<P: Snap> AceAnalyzer<P> {
                     "{n} in-flight entries exceed the {window}-instruction window"
                 )));
             }
+            let end = tw
+                .base
+                .checked_add(n as u64)
+                .ok_or_else(|| SnapError::Corrupt(format!("window base {} overflows", tw.base)))?;
             tw.entries.clear();
-            for _ in 0..n {
-                tw.entries.push_back(Entry {
-                    rec: r.get()?,
-                    producers: r.get()?,
-                    ace: r.get()?,
-                    last_read_cycle: r.get()?,
+            for idx in tw.base..end {
+                let e = Entry {
                     payload: P::load(r)?,
-                });
+                    last_read: r.get()?,
+                    producers: r.get()?,
+                    dest: r.get()?,
+                    ace: r.get()?,
+                };
+                if let Some(&d) = e.producers.iter().find(|&&d| d as u64 > idx) {
+                    return Err(SnapError::Corrupt(format!(
+                        "instruction {idx} links a producer {d} instructions back"
+                    )));
+                }
+                tw.entries.push_back(e);
             }
             for slot in tw.last_writer.iter_mut() {
                 *slot = r.get()?;
+                if let Some(widx) = *slot {
+                    if widx >= end {
+                        return Err(SnapError::Corrupt(format!(
+                            "last writer {widx} is not yet in the window ending at {end}"
+                        )));
+                    }
+                }
             }
         }
         self.walk.clear();
@@ -306,7 +330,6 @@ mod tests {
     fn rec(op: OpClass, dest: Option<Reg>, srcs: [Option<Reg>; 2], cycle: u64) -> AceInstRecord {
         AceInstRecord {
             tid: 0,
-            pc: cycle,
             op,
             dest,
             srcs,
@@ -470,7 +493,6 @@ mod tests {
         az.push(
             AceInstRecord {
                 tid: 0,
-                pc: 0,
                 op: OpClass::IAlu,
                 dest: Some(a),
                 srcs: [None, None],
@@ -482,7 +504,6 @@ mod tests {
         az.push(
             AceInstRecord {
                 tid: 1,
-                pc: 0,
                 op: OpClass::Store,
                 dest: None,
                 srcs: [Some(a), None],
@@ -530,5 +551,65 @@ mod tests {
         }
         az.drain(&mut |_| count += 1);
         assert_eq!(count, 57);
+    }
+
+    /// A one-thread, window-8 analyzer snapshot: entries from monotonic
+    /// index `base` on with the given producer distances, and `r1_writer`
+    /// as the last writer of r1.
+    fn snapshot(base: u64, producers: &[[u32; 2]], r1_writer: Option<u64>) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.put(&8u64);
+        w.put(&1u64);
+        w.put(&base);
+        w.put(&(producers.len() as u64));
+        for (k, p) in producers.iter().enumerate() {
+            w.put(&(k as u64));
+            w.put(&NEVER_READ);
+            w.put(p);
+            w.put(&Some(Reg::int(1)));
+            w.put(&false);
+        }
+        for reg in 0..micro_isa::reg::NUM_REGS {
+            w.put(&if reg == Reg::int(1).flat_index() {
+                r1_writer
+            } else {
+                None
+            });
+        }
+        w.into_bytes()
+    }
+
+    fn restore(bytes: &[u8]) -> Result<(), SnapError> {
+        let mut az: AceAnalyzer<u64> = AceAnalyzer::new(1, 8);
+        let mut r = SnapReader::new(bytes);
+        az.restore_state(&mut r)?;
+        assert_eq!(r.remaining(), 0, "snapshot layout out of step");
+        Ok(())
+    }
+
+    #[test]
+    fn restore_rejects_a_last_writer_not_yet_in_the_window() {
+        // Entries 4 and 5 are in flight, so the next instruction is 6.
+        restore(&snapshot(4, &[[0, 0], [1, 0]], Some(5))).unwrap();
+        // A writer left behind the window is harmless: it is never read.
+        restore(&snapshot(4, &[[0, 0], [1, 0]], Some(3))).unwrap();
+        for future in [6, 7, u64::MAX] {
+            let err = restore(&snapshot(4, &[[0, 0], [1, 0]], Some(future))).unwrap_err();
+            assert!(matches!(err, SnapError::Corrupt(_)), "{future}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_producer_before_the_first_instruction() {
+        restore(&snapshot(0, &[[0, 0], [1, 0]], None)).unwrap();
+        // Instruction 4's producer 3 back (instruction 1) has left the
+        // window; that is a normal state.
+        restore(&snapshot(4, &[[3, 0], [1, 4]], None)).unwrap();
+        for bad in [[0, 2], [2, 0], [0, u32::MAX]] {
+            let err = restore(&snapshot(0, &[[0, 0], bad], None)).unwrap_err();
+            assert!(matches!(err, SnapError::Corrupt(_)), "{bad:?}: {err:?}");
+        }
+        let err = restore(&snapshot(4, &[[5, 0]], None)).unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt(_)), "{err:?}");
     }
 }

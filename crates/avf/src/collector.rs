@@ -33,14 +33,31 @@ const SPANS: &[SpanDef] = &[
 const SPAN_OBSERVE: SpanId = 0;
 const SPAN_FINALIZE: SpanId = 1;
 
-/// Residency timing carried through the analyzer as payload.
+/// Residency timing carried through the analyzer as payload, plus
+/// whether the instruction is a memory op. A cycle field holds
+/// `NO_CYCLE` where the retire event has `None`.
 #[derive(Debug, Clone, Copy)]
 struct Timing {
-    dispatch: Option<u64>,
-    issue: Option<u64>,
-    complete: Option<u64>,
+    dispatch: u64,
+    issue: u64,
+    complete: u64,
     retire: u64,
+    is_mem: bool,
 }
+
+/// A `Timing` cycle field's `None`; no run reaches this cycle.
+const NO_CYCLE: u64 = u64::MAX;
+
+#[inline]
+fn cycle(v: u64) -> Option<u64> {
+    (v != NO_CYCLE).then_some(v)
+}
+
+// The window entries are the collector's working set: 40 000 per thread.
+const _: () = assert!(
+    crate::ace::entry_size::<Timing>() <= 64,
+    "collector ACE-window entry outgrew 64 bytes"
+);
 
 impl Snap for Timing {
     fn save(&self, w: &mut SnapWriter) {
@@ -48,6 +65,7 @@ impl Snap for Timing {
         w.put(&self.issue);
         w.put(&self.complete);
         w.put(&self.retire);
+        w.put(&self.is_mem);
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -56,6 +74,7 @@ impl Snap for Timing {
             issue: r.get()?,
             complete: r.get()?,
             retire: r.get()?,
+            is_mem: r.get()?,
         })
     }
 }
@@ -186,6 +205,7 @@ impl AvfCollector {
 
     fn finalize_into(accum: &mut Accum, interval_cycles: u64, f: Finalized<Timing>) {
         let t = f.payload;
+        let (dispatch, issue, complete) = (cycle(t.dispatch), cycle(t.issue), cycle(t.complete));
         accum.committed += 1;
         if f.ace {
             accum.ace_committed += 1;
@@ -193,8 +213,8 @@ impl AvfCollector {
 
         // --- IQ: [dispatch, complete) with the inst's IQ ACE weight ---
         let iq_bits = smt_sim::layout::iq_ace_bits(f.ace) as f64;
-        if let Some(d) = t.dispatch {
-            let leave = t.complete.unwrap_or(t.retire);
+        if let Some(d) = dispatch {
+            let leave = complete.unwrap_or(t.retire);
             let res = leave.saturating_sub(d);
             accum.iq_ace_bit_cycles += res as f64 * iq_bits;
             // Smear across sampling intervals.
@@ -213,8 +233,8 @@ impl AvfCollector {
 
         // --- ROB: payload phase [dispatch, complete), tail phase
         //     [complete, retire) ---
-        if let Some(d) = t.dispatch {
-            let wb = t.complete.unwrap_or(t.retire);
+        if let Some(d) = dispatch {
+            let wb = complete.unwrap_or(t.retire);
             let pre = wb.saturating_sub(d) as f64;
             let post = t.retire.saturating_sub(wb) as f64;
             if f.ace {
@@ -228,9 +248,9 @@ impl AvfCollector {
         // --- FU: [issue, complete), except memory ops, which hold the
         //     load/store port only for address generation + cache access
         //     (the miss itself lives in MSHRs, not the unit) ---
-        if let (Some(i), Some(c)) = (t.issue, t.complete) {
+        if let (Some(i), Some(c)) = (issue, complete) {
             let mut res = c.saturating_sub(i);
-            if f.rec.op.is_mem() {
+            if t.is_mem {
                 res = res.min(2);
             }
             let bits = if f.ace {
@@ -242,8 +262,8 @@ impl AvfCollector {
         }
 
         // --- LSQ: memory ops, [dispatch, retire) ---
-        if f.rec.op.is_mem() {
-            if let Some(d) = t.dispatch {
+        if t.is_mem {
+            if let Some(d) = dispatch {
                 let res = t.retire.saturating_sub(d) as f64;
                 let bits = if f.ace {
                     layout::LSQ_ACE_BITS
@@ -259,9 +279,9 @@ impl AvfCollector {
         //     timestamps are monotonic per thread, so successive values
         //     of one register never overlap (writeback-based endpoints
         //     would, double-counting the register's bits) ---
-        if f.ace && f.rec.dest.is_some() {
+        if f.ace && f.dest.is_some() {
             if let Some(last_read) = f.last_read_cycle {
-                let res = last_read.saturating_sub(f.rec.commit_cycle) as f64;
+                let res = last_read.saturating_sub(t.retire) as f64;
                 accum.rf_ace_bit_cycles += res * layout::RF_REG_BITS as f64;
             }
         }
@@ -337,19 +357,21 @@ impl SimObserver for AvfCollector {
     fn on_commit(&mut self, ev: &RetireEvent) {
         let tok = self.prof.enter(SPAN_OBSERVE);
         let rb = |c: u64| c.saturating_sub(self.start_cycle);
+        let inst = &ev.inst;
+        let retire = rb(ev.retire_cycle);
         let rec = AceInstRecord {
-            tid: ev.inst.tid,
-            pc: ev.inst.pc,
-            op: ev.inst.op,
-            dest: ev.inst.dest,
-            srcs: ev.inst.srcs,
-            commit_cycle: rb(ev.retire_cycle),
+            tid: inst.tid,
+            op: inst.op,
+            dest: inst.dest,
+            srcs: inst.srcs,
+            commit_cycle: retire,
         };
         let timing = Timing {
-            dispatch: ev.dispatch_cycle.map(rb),
-            issue: ev.issue_cycle.map(rb),
-            complete: ev.complete_cycle.map(rb),
-            retire: rb(ev.retire_cycle),
+            dispatch: ev.dispatch_cycle.map_or(NO_CYCLE, rb),
+            issue: ev.issue_cycle.map_or(NO_CYCLE, rb),
+            complete: ev.complete_cycle.map_or(NO_CYCLE, rb),
+            retire,
+            is_mem: inst.op.is_mem(),
         };
         let accum = &mut self.accum;
         let interval = self.interval_cycles;
@@ -559,6 +581,33 @@ mod tests {
         // 64 bits over 1000 cycles × (4×64×64) bits.
         let expect = (188.0 * 64.0) / (1_000.0 * 4.0 * 64.0 * 64.0);
         assert!((rep.rf_avf - expect).abs() < 1e-9, "{}", rep.rf_avf);
+    }
+
+    #[test]
+    fn absent_stamps_keep_their_meaning() {
+        let cfg = small_config();
+        let mut c = AvfCollector::new(&cfg, 100, 1_000);
+        // A store that never completed holds its IQ entry until it
+        // retires and never occupies a unit.
+        let mut ev = commit_ev(0, OpClass::Store, None, [None, None], 10, 0, 40);
+        ev.issue_cycle = None;
+        ev.complete_cycle = None;
+        c.on_commit(&ev);
+        // A store that was never dispatched adds nothing but its count.
+        ev.dispatch_cycle = None;
+        ev.retire_cycle = 50;
+        c.on_commit(&ev);
+        c.on_finish(1_000);
+        let rep = c.report();
+        assert_eq!(rep.committed, 2);
+        assert_eq!(rep.fu_avf, 0.0);
+        let iq_total = cfg.iq_size as f64 * smt_sim::layout::IQ_ENTRY_BITS as f64;
+        let iq_bits = smt_sim::layout::iq_ace_bits(true) as f64;
+        assert_eq!(rep.iq_avf, 30.0 * iq_bits / (1_000.0 * iq_total));
+        let lsq_total =
+            cfg.num_threads as f64 * cfg.lsq_size as f64 * layout::LSQ_ENTRY_BITS as f64;
+        let lsq_bits = layout::LSQ_ACE_BITS as f64;
+        assert_eq!(rep.lsq_avf, 30.0 * lsq_bits / (1_000.0 * lsq_total));
     }
 
     #[test]

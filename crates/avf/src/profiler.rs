@@ -12,9 +12,16 @@
 //! instances of mixed-behaviour PCs (false positives). The per-benchmark
 //! identification accuracy this produces is the paper's Table 1.
 
-use crate::ace::{AceAnalyzer, AceInstRecord};
+use crate::ace::{AceAnalyzer, AceInstRecord, Finalized};
+use micro_isa::Pc;
 use std::sync::Arc;
 use workload_gen::{Program, ThreadEngine};
+
+// The window entries are the profiler's working set.
+const _: () = assert!(
+    crate::ace::entry_size::<Pc>() <= 32,
+    "profiler ACE-window entry outgrew 32 bytes"
+);
 
 /// Result of profiling one benchmark.
 #[derive(Debug, Clone)]
@@ -47,25 +54,22 @@ impl ProfileResult {
 /// Profile `instructions` dynamic instructions of `program` with the
 /// given analysis window, producing per-PC tags and accuracy statistics.
 ///
-/// Two passes over the same deterministic stream: the first computes
-/// ground truth per dynamic instance and folds the per-PC tags; the
-/// second scores the PC-based prediction against the ground truth. (A
-/// real profiler would record per-instance truth on disk; replaying the
-/// deterministic stream is equivalent and allocation-free.)
+/// One pass over the deterministic correct-path stream computes ground
+/// truth per dynamic instance and folds it into per-PC instance and ACE
+/// counts. The PC-based prediction is then scored in closed form from
+/// those counts, with no second pass and no per-instance record.
 pub fn profile_program(program: &Arc<Program>, instructions: u64, window: usize) -> ProfileResult {
     let n_pcs = program.len();
 
-    // Pass 1: ground truth per instance, folded to per-PC tags and
-    // per-PC instance/ACE counts.
     let mut pc_instances = vec![0u64; n_pcs];
     let mut pc_ace_instances = vec![0u64; n_pcs];
     {
         let mut engine = ThreadEngine::new(Arc::clone(program), 0);
-        let mut analyzer: AceAnalyzer<()> = AceAnalyzer::new(1, window);
-        let mut fin = |f: crate::ace::Finalized<()>| {
-            pc_instances[f.rec.pc as usize] += 1;
+        let mut analyzer: AceAnalyzer<Pc> = AceAnalyzer::new(1, window);
+        let mut fin = |f: Finalized<Pc>| {
+            pc_instances[f.payload as usize] += 1;
             if f.ace {
-                pc_ace_instances[f.rec.pc as usize] += 1;
+                pc_ace_instances[f.payload as usize] += 1;
             }
         };
         for k in 0..instructions {
@@ -73,13 +77,12 @@ pub fn profile_program(program: &Arc<Program>, instructions: u64, window: usize)
             analyzer.push(
                 AceInstRecord {
                     tid: 0,
-                    pc: inst.pc,
                     op: inst.op,
                     dest: inst.dest,
                     srcs: inst.srcs,
                     commit_cycle: k,
                 },
-                (),
+                inst.pc,
                 &mut fin,
             );
         }
@@ -206,17 +209,27 @@ mod tests {
 
     #[test]
     fn stores_and_branches_always_tagged() {
+        // Sinks are ACE whenever executed, so the PC of every executed
+        // store, output and control instance must carry the tag.
         let p = Arc::new(generate_program(&model_by_name("gap").unwrap()));
-        let (tagged, _) = profile_and_tag(&p, 100_000, DEFAULT_ACE_WINDOW);
-        for inst in &tagged.insts {
+        let n = 100_000;
+        let (tagged, _) = profile_and_tag(&p, n, DEFAULT_ACE_WINDOW);
+        let mut engine = ThreadEngine::new(Arc::clone(&p), 0);
+        let mut sinks = 0;
+        for _ in 0..n {
+            let inst = engine.next_correct();
             if matches!(inst.op, OpClass::Store | OpClass::Output) || inst.op.is_control() {
-                // Sinks are ACE whenever executed; any executed sink PC
-                // must be tagged. (Unexecuted PCs may remain untagged.)
-                // We only assert for PCs that clearly execute: loop tails.
+                sinks += 1;
+                assert!(
+                    tagged.insts[inst.pc as usize].ace_hint,
+                    "{:?} at PC {} untagged",
+                    inst.op, inst.pc
+                );
             }
         }
-        // Weaker, robust check: a healthy majority of static PCs are
-        // tagged after a long profile.
+        assert!(sinks > 1_000, "only {sinks} sink instances");
+        // And a healthy majority of static PCs are tagged after a long
+        // profile.
         let frac = tagged.insts.iter().filter(|i| i.ace_hint).count() as f64 / tagged.len() as f64;
         assert!(frac > 0.3, "static ACE fraction {frac}");
     }

@@ -61,7 +61,6 @@ fn run_analysis(stream: &[MiniInst], window: usize) -> Vec<bool> {
             az.push(
                 AceInstRecord {
                     tid: 0,
-                    pc: i as u64,
                     op: mi.op,
                     dest: mi.dest.map(Reg::int),
                     srcs: [mi.srcs[0].map(Reg::int), mi.srcs[1].map(Reg::int)],

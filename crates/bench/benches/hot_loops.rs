@@ -2,8 +2,8 @@
 //!
 //! These are the costs that dominate experiment campaigns: pipeline
 //! stepping and `run` (which fast-forwards idle cycles) on CPU- vs
-//! MEM-bound mixes, the windowed ACE analysis, the
-//! offline profiler, and the cache/predictor substrates.
+//! MEM-bound mixes, the windowed ACE analysis alone and inside the AVF
+//! collector, the offline profiler, and the cache/predictor substrates.
 
 use bench::{cold_pipeline, tagged_mix};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
@@ -70,17 +70,17 @@ fn ace_analysis(c: &mut Criterion) {
     let program = std::sync::Arc::new(generate_program(&model_by_name("gcc").unwrap()));
     // Pre-capture a committed stream to isolate the analyzer cost.
     let mut engine = ThreadEngine::new(program, 0);
-    let stream: Vec<AceInstRecord> = (0..100_000u64)
+    let stream: Vec<(AceInstRecord, u64)> = (0..100_000u64)
         .map(|k| {
             let i = engine.next_correct();
-            AceInstRecord {
+            let rec = AceInstRecord {
                 tid: 0,
-                pc: i.pc,
                 op: i.op,
                 dest: i.dest,
                 srcs: i.srcs,
                 commit_cycle: k,
-            }
+            };
+            (rec, i.pc)
         })
         .collect();
 
@@ -89,18 +89,59 @@ fn ace_analysis(c: &mut Criterion) {
     g.throughput(Throughput::Elements(stream.len() as u64));
     g.bench_function("100k_commits_40k_window", |b| {
         b.iter(|| {
-            let mut az: AceAnalyzer<()> = AceAnalyzer::new(1, 40_000);
+            let mut az: AceAnalyzer<u64> = AceAnalyzer::new(1, 40_000);
             let mut ace = 0u64;
-            let mut count = |f: avf::Finalized<()>| {
+            let mut count = |f: avf::Finalized<u64>| {
                 if f.ace {
                     ace += 1;
                 }
             };
-            for rec in &stream {
-                az.push(rec.clone(), (), &mut count);
+            for &(rec, pc) in &stream {
+                az.push(rec, pc, &mut count);
             }
             az.drain(&mut count);
             black_box(ace)
+        })
+    });
+    g.finish();
+}
+
+/// The AVF collector as the simulator drives it: 100 K commit events of
+/// a warmed CPU-A run through `on_commit`, then the end-of-run drain.
+fn avf_collector(c: &mut Criterion) {
+    use avf::AvfCollector;
+    use smt_sim::{RetireEvent, SimLimits, SimObserver};
+
+    const EVENTS: usize = 100_000;
+    struct Capture(Vec<RetireEvent>);
+    impl SimObserver for Capture {
+        fn on_commit(&mut self, ev: &RetireEvent) {
+            if self.0.len() < EVENTS {
+                self.0.push(ev.clone());
+            }
+        }
+    }
+
+    let mut p = cold_pipeline(&tagged_mix("CPU-A"));
+    let start = p.warm_up(50_000);
+    let mut cap = Capture(Vec::with_capacity(EVENTS));
+    p.run(SimLimits::cycles(60_000), &mut cap);
+    let events = cap.0;
+    assert_eq!(events.len(), EVENTS, "CPU-A committed too little");
+    let end = events.last().unwrap().retire_cycle + 1;
+    let machine = smt_sim::MachineConfig::table2();
+
+    let mut g = c.benchmark_group("avf_collector");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(EVENTS as u64));
+    g.bench_function("CPU-A/100k_commits", |b| {
+        b.iter(|| {
+            let mut col = AvfCollector::standard(&machine).with_start_cycle(start);
+            for ev in &events {
+                col.on_commit(ev);
+            }
+            col.on_finish(end);
+            black_box(col.report().iq_avf)
         })
     });
     g.finish();
@@ -173,6 +214,7 @@ criterion_group!(
     pipeline_stepping,
     pipeline_run,
     ace_analysis,
+    avf_collector,
     offline_profiler,
     substrates,
     program_generation

@@ -71,7 +71,6 @@ fn fixture() -> &'static Fixture {
                 analyzer.push(
                     AceInstRecord {
                         tid: rec.tid,
-                        pc: rec.pc,
                         op: rec.op,
                         dest: rec.dest,
                         srcs: rec.srcs,

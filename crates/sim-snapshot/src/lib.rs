@@ -30,7 +30,10 @@ use std::collections::VecDeque;
 /// Bump when the serialized layout of any snapshotted structure
 /// changes. Restore rejects other versions with
 /// [`SnapError::SchemaMismatch`] rather than misinterpreting bytes.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 1;
+/// v2 stores the AVF collector's ACE-window entries compactly (producer
+/// distances and a timing record instead of a copy of each
+/// instruction record).
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 2;
 
 /// Leading magic of a snapshot container file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SMTSNAP\x01";
@@ -662,6 +665,23 @@ mod tests {
                 "truncation to {cut} bytes accepted"
             );
         }
+    }
+
+    #[test]
+    fn other_schema_is_a_typed_mismatch() {
+        // A container as the previous schema wrote it, CRC intact.
+        let mut file = write_container(1, 0, b"x");
+        file[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let body = file.len() - 4;
+        let crc = crc32(&file[8..body]);
+        file[body..].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            read_container(&file, 1).unwrap_err(),
+            SnapError::SchemaMismatch {
+                found: 1,
+                expected: SNAPSHOT_SCHEMA_VERSION
+            }
+        );
     }
 
     #[test]
