@@ -16,7 +16,7 @@ use crate::checkpoint::{CheckpointPolicy, DEFAULT_SNAPSHOT_EVERY};
 use crate::context::ExperimentContext;
 use crate::manifest::BudgetSummary;
 use crate::report::Rendered;
-use crate::runner::{run_scheme_cancellable, run_scheme_checkpointed};
+use crate::runner::run_scheme_supervised;
 use iq_reliability::Scheme;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -193,19 +193,13 @@ pub fn run_bench_supervised(
 ) -> Result<BenchCampaign, JobError> {
     let seeds = seeds.max(1);
     let cases = bench_cases();
+    let job_key = |c: usize, salt: u64| {
+        let hash = bench_config_hash(ctx, &cases[c]);
+        JobKey::new("bench-baseline", cases[c].name, salt, hash)
+    };
     let jobs: Vec<(JobKey, (usize, u64))> = (0..cases.len())
         .flat_map(|c| (0..seeds).map(move |s| (c, s)))
-        .map(|(c, salt)| {
-            (
-                JobKey::new(
-                    "bench-baseline",
-                    cases[c].name,
-                    salt,
-                    bench_config_hash(ctx, &cases[c]),
-                ),
-                (c, salt),
-            )
-        })
+        .map(|(c, salt)| (job_key(c, salt), (c, salt)))
         .collect();
 
     // With a journal directory, jobs run checkpointed: the journal is
@@ -221,51 +215,36 @@ pub fn run_bench_supervised(
         let case = &cases[c];
         let mix = workload_gen::mix_by_name(case.mix)
             .unwrap_or_else(|| panic!("unknown bench mix {}", case.mix));
-        let out = match (journal_dir, &journal) {
-            (Some(dir), Some(journal)) => {
-                let key = JobKey::new(
-                    "bench-baseline",
-                    case.name,
-                    salt,
-                    bench_config_hash(ctx, case),
-                );
-                let store = SnapshotStore::new(dir, &key.slug());
-                let policy = CheckpointPolicy {
-                    store: &store,
-                    every: jctx.snapshot_every.unwrap_or(DEFAULT_SNAPSHOT_EVERY),
-                    selfcheck: jctx.selfcheck,
-                    metrics: &obs.metrics,
-                };
-                let out = run_scheme_checkpointed(
-                    ctx,
-                    &mix,
-                    case.scheme,
-                    case.fetch,
-                    salt,
-                    Some(jctx.cancel.clone()),
-                    &policy,
-                    |cycle| {
-                        if journal.lock().record_checkpoint(&key, &cycle).is_err() {
-                            obs.metrics.counter_add("harness.journal.write_errors", 1);
-                        }
-                    },
-                )?;
-                if !out.cancelled && !out.deadlocked {
-                    // The final sample supersedes the snapshots; drop
-                    // them so a finished campaign leaves no dead weight.
-                    let _ = store.clear();
+        let key = job_key(c, salt);
+        let store = journal_dir.map(|dir| SnapshotStore::new(dir, &key.slug()));
+        let policy = store.as_ref().map(|store| CheckpointPolicy {
+            store,
+            every: jctx.snapshot_every.unwrap_or(DEFAULT_SNAPSHOT_EVERY),
+            selfcheck: jctx.selfcheck,
+            metrics: &obs.metrics,
+        });
+        let out = run_scheme_supervised(
+            ctx,
+            &mix,
+            case.scheme,
+            case.fetch,
+            salt,
+            &jctx.cancel,
+            policy.as_ref(),
+            |cycle| {
+                let Some(journal) = &journal else { return };
+                if journal.lock().record_checkpoint(&key, &cycle).is_err() {
+                    obs.metrics.counter_add("harness.journal.write_errors", 1);
                 }
-                out
+            },
+        )?;
+        if let Some(store) = &store {
+            if !out.cancelled && !out.deadlocked {
+                // The final sample supersedes the snapshots; drop them
+                // so a finished campaign leaves no dead weight.
+                let _ = store.clear();
             }
-            _ => run_scheme_cancellable(
-                ctx,
-                &mix,
-                case.scheme,
-                case.fetch,
-                salt,
-                Some(jctx.cancel.clone()),
-            ),
-        };
+        }
         if out.cancelled {
             // Only the deadline monitor cancels; the supervisor
             // re-classifies this with the configured limit.
@@ -284,8 +263,8 @@ pub fn run_bench_supervised(
             salt,
             wall_time_s: out.timings.total_s(),
             cycles_per_sec: out.cycles_per_sec,
-            throughput_ipc: out.throughput_ipc,
-            harmonic_ipc: out.harmonic_ipc,
+            throughput_ipc: out.stats.throughput_ipc(),
+            harmonic_ipc: out.stats.harmonic_ipc(),
             iq_avf: out.avf.iq_avf,
         })
     };
@@ -338,20 +317,6 @@ pub fn run_bench_supervised(
         interrupted: outcome.interrupted,
         simulated_cycles: outcome.simulated_cycles,
     })
-}
-
-/// [`run_bench_supervised`] with default supervision, no journal, and
-/// no observers — the historical entry point.
-pub fn run_bench(ctx: &ExperimentContext, seeds: u64) -> BenchBaseline {
-    run_bench_supervised(
-        ctx,
-        seeds,
-        &HarnessConfig::default(),
-        &HarnessObservers::off(),
-        None,
-    )
-    .expect("journal-less bench campaign cannot fail on IO")
-    .baseline
 }
 
 /// The campaign-report table: one row per exhibit, `mean ± ci95` cells.

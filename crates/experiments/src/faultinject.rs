@@ -16,7 +16,6 @@
 //! model).
 
 use crate::context::ExperimentContext;
-use crate::manifest::slug;
 use crate::report::Rendered;
 use iq_reliability::Scheme;
 use serde::{Deserialize, Serialize};
@@ -26,6 +25,7 @@ use sim_harness::{
     JobKey, QuarantineEntry,
 };
 use sim_metrics::Metrics;
+use sim_report::store::slugify;
 use sim_stats::Table;
 use sim_trace::chrome::ChromeTraceSink;
 use sim_trace::Tracer;
@@ -84,7 +84,7 @@ fn observers(ctx: &ExperimentContext, salt: u64, scheme: &str) -> (Metrics, Trac
     };
     let tracer = match ctx.trace_dir() {
         Some(dir) if std::fs::create_dir_all(dir).is_ok() => {
-            let path = dir.join(format!("inject_s{salt}_{}.trace.json", slug(scheme)));
+            let path = dir.join(format!("inject_s{salt}_{}.trace.json", slugify(scheme)));
             Tracer::new(ChromeTraceSink::new(path))
         }
         _ => Tracer::off(),
@@ -106,7 +106,7 @@ fn export_observers(
     let snapshot = metrics.snapshot();
     let export = std::fs::create_dir_all(dir).and_then(|_| {
         std::fs::write(
-            dir.join(format!("inject_s{salt}_{}.prom", slug(scheme))),
+            dir.join(format!("inject_s{salt}_{}.prom", slugify(scheme))),
             sim_metrics::export::render_prometheus(&snapshot),
         )
     });

@@ -10,7 +10,7 @@
 
 use crate::context::ExperimentContext;
 use crate::report::Rendered;
-use crate::runner::run_stats_only;
+use crate::runner::run_scheme;
 use iq_reliability::Scheme;
 use sim_stats::Table;
 use smt_sim::{FetchPolicyKind, SimStats};
@@ -21,10 +21,8 @@ pub struct Fig2Result {
 
 pub fn run(ctx: &ExperimentContext) -> Fig2Result {
     let mix = workload_gen::mix_by_name("CPU-A").expect("CPU-A mix");
-    let result = run_stats_only(ctx, &mix, Scheme::Baseline, FetchPolicyKind::Icount);
-    Fig2Result {
-        stats: result.stats,
-    }
+    let out = run_scheme(ctx, &mix, Scheme::Baseline, FetchPolicyKind::Icount);
+    Fig2Result { stats: out.stats }
 }
 
 pub fn render(result: &Fig2Result) -> Rendered {

@@ -56,8 +56,9 @@ pub fn run_with_fetch(ctx: &ExperimentContext, fetch: FetchPolicyKind) -> Fig5Re
                 if base.avf.iq_avf > 0.0 {
                     avf_norms.push(run.avf.iq_avf / base.avf.iq_avf);
                 }
-                if base.throughput_ipc > 0.0 {
-                    ipc_norms.push(run.throughput_ipc / base.throughput_ipc);
+                let base_ipc = base.stats.throughput_ipc();
+                if base_ipc > 0.0 {
+                    ipc_norms.push(run.stats.throughput_ipc() / base_ipc);
                 }
             }
             rows.push((group, scheme.label(), mean(&avf_norms), mean(&ipc_norms)));

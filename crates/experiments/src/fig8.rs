@@ -84,11 +84,12 @@ pub fn run_with_fetch(ctx: &ExperimentContext, fetch: FetchPolicyKind) -> Fig8Re
                 let target = frac * base.avf.max_interval_iq_avf();
                 b_pve.push(base.avf.iq_interval_avf.pve(target));
                 d_pve.push(dvm.avf.iq_interval_avf.pve(target));
-                if base.throughput_ipc > 0.0 {
-                    thr.push(1.0 - dvm.throughput_ipc / base.throughput_ipc);
+                let (base_thr, base_har) = (base.stats.throughput_ipc(), base.stats.harmonic_ipc());
+                if base_thr > 0.0 {
+                    thr.push(1.0 - dvm.stats.throughput_ipc() / base_thr);
                 }
-                if base.harmonic_ipc > 0.0 {
-                    har.push(1.0 - dvm.harmonic_ipc / base.harmonic_ipc);
+                if base_har > 0.0 {
+                    har.push(1.0 - dvm.stats.harmonic_ipc() / base_har);
                 }
             }
             cells.push(DvmCell {

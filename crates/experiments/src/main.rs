@@ -489,14 +489,6 @@ fn main() {
         let manifests = ctx.drain_manifests();
         let simulated = manifests.len();
         let reused = ctx.take_memo_hits();
-        let mut stages = sim_trace::timing::StageSeconds::default();
-        let mut profiled = 0usize;
-        for m in &manifests {
-            if let Some(s) = &m.stage_seconds {
-                stages.add(s);
-                profiled += 1;
-            }
-        }
         if manifest_dir.is_some() || store.is_some() {
             let mut phases = sim_trace::timing::PhaseTimings::default();
             let mut written = 0usize;
@@ -552,17 +544,6 @@ fn main() {
                     store_dir.as_deref().unwrap_or(Path::new("?")).display()
                 );
             }
-        }
-        if profiled > 0 {
-            println!(
-                "  [stage profile over {profiled} traced run(s): commit {:.2}s, writeback {:.2}s, issue {:.2}s, dispatch {:.2}s, fetch {:.2}s ({} cycles)]",
-                stages.commit_s,
-                stages.writeback_s,
-                stages.issue_s,
-                stages.dispatch_s,
-                stages.fetch_s,
-                stages.profiled_cycles
-            );
         }
         println!(
             "  [{exhibit} took {:.1?}; {simulated} simulated, {reused} reused]\n",

@@ -15,7 +15,8 @@ use crate::runner::RunOutcome;
 use iq_reliability::Scheme;
 use serde::{Deserialize, Serialize};
 use sim_metrics::summary::MetricsSummary;
-use sim_trace::timing::{PhaseTimings, StageSeconds};
+use sim_report::store::slugify;
+use sim_trace::timing::PhaseTimings;
 use smt_sim::{FetchPolicyKind, MachineConfig};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -25,7 +26,9 @@ use workload_gen::WorkloadMix;
 /// [`CampaignManifest`]. Bump on any incompatible layout change;
 /// consumers (the `sim-report` ingestion path) refuse manifests stamped
 /// with a version they don't understand instead of misreading them.
-pub const MANIFEST_SCHEMA_VERSION: u32 = 1;
+/// v2: run manifests no longer carry `stage_seconds`; the per-run
+/// profile files hold the stage times.
+pub const MANIFEST_SCHEMA_VERSION: u32 = 2;
 
 /// The machine-configuration fields a manifest records (the stable,
 /// scalar subset of [`MachineConfig`]).
@@ -111,9 +114,6 @@ pub struct RunManifest {
     pub budget: BudgetSummary,
     /// Host wall-clock cost of each phase of the run.
     pub timings: PhaseTimings,
-    /// Per-pipeline-stage wall-clock breakdown (traced runs only —
-    /// stage profiling is opt-in because of its timer cost).
-    pub stage_seconds: Option<StageSeconds>,
     pub metrics: FinalMetrics,
     /// Digest of the run's sim-metrics registry (runs with metrics
     /// recording enabled only).
@@ -157,15 +157,14 @@ impl RunManifest {
                 ace_window: ctx.params.ace_window as u64,
             },
             timings: outcome.timings.clone(),
-            stage_seconds: outcome.stage_seconds.clone(),
             metrics: FinalMetrics {
                 iq_avf: outcome.avf.iq_avf,
-                throughput_ipc: outcome.throughput_ipc,
-                harmonic_ipc: outcome.harmonic_ipc,
-                l2_misses: outcome.l2_misses,
-                flushes: outcome.flushes,
-                mispredict_rate: outcome.mispredict_rate,
-                governor_stall_cycles: outcome.governor_stall_cycles,
+                throughput_ipc: outcome.stats.throughput_ipc(),
+                harmonic_ipc: outcome.stats.harmonic_ipc(),
+                l2_misses: outcome.stats.l2_misses,
+                flushes: outcome.stats.flushes,
+                mispredict_rate: outcome.stats.mispredict_rate(),
+                governor_stall_cycles: outcome.stats.governor_stall_cycles,
                 dvm_avg_ratio: outcome.dvm_avg_ratio,
                 deadlocked: outcome.deadlocked,
                 cycles_per_sec: outcome.cycles_per_sec,
@@ -180,9 +179,9 @@ impl RunManifest {
         format!(
             "run{:04}_{}_{}_{}.json",
             self.run_id,
-            slug(&self.exhibit),
-            slug(&self.mix),
-            slug(&self.scheme),
+            slugify(&self.exhibit),
+            slugify(&self.mix),
+            slugify(&self.scheme),
         )
     }
 
@@ -233,28 +232,6 @@ impl CampaignManifest {
     }
 }
 
-/// Lowercase, filesystem-safe slug (non-alphanumerics collapse to `-`).
-pub fn slug(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut dash = false;
-    for c in s.chars() {
-        if c.is_ascii_alphanumeric() {
-            out.push(c.to_ascii_lowercase());
-            dash = false;
-        } else if !dash && !out.is_empty() {
-            out.push('-');
-            dash = true;
-        }
-    }
-    while out.ends_with('-') {
-        out.pop();
-    }
-    if out.is_empty() {
-        out.push('x');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,14 +270,6 @@ mod tests {
                 measure_s: 2.0,
                 collect_s: 0.25,
             },
-            stage_seconds: Some(StageSeconds {
-                commit_s: 0.2,
-                writeback_s: 0.3,
-                issue_s: 0.9,
-                dispatch_s: 0.4,
-                fetch_s: 0.2,
-                profiled_cycles: 250_000,
-            }),
             metrics: FinalMetrics {
                 iq_avf: 0.31,
                 throughput_ipc: 3.4,
@@ -348,22 +317,12 @@ mod tests {
         assert_eq!(m.file_name(), "run0007_fig2_cpu-a_visa-opt1.json");
         let mut n = sample();
         n.run_id = 8;
-        // A manifest without DVM telemetry or stage profiling must
-        // still roundtrip.
+        // A manifest without DVM telemetry must still roundtrip.
         n.metrics.dvm_avg_ratio = None;
-        n.stage_seconds = None;
         let text = serde::json::to_string(&n);
         let back: RunManifest = serde::json::from_str(&text).unwrap();
         assert_eq!(back, n);
         assert_ne!(m.file_name(), n.file_name());
-    }
-
-    #[test]
-    fn slug_normalizes() {
-        assert_eq!(slug("DVM (dynamic ratio)"), "dvm-dynamic-ratio");
-        assert_eq!(slug("CPU-A"), "cpu-a");
-        assert_eq!(slug(""), "x");
-        assert_eq!(slug("***"), "x");
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl QuickConfig {
         let out = run_scheme(&self.ctx, &mix, Scheme::Visa, FetchPolicyKind::Icount);
         QuickSummary {
             cycles: out.avf.cycles,
-            ipc: out.throughput_ipc,
+            ipc: out.stats.throughput_ipc(),
             iq_avf: out.avf.iq_avf,
         }
     }

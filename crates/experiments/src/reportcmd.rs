@@ -15,9 +15,10 @@
 //! unknown schema version anywhere, or a significant diff).
 
 use crate::faultinject::{FaultInjectReport, FAULT_SCHEMA_VERSION};
-use crate::manifest::{slug, RunManifest, MANIFEST_SCHEMA_VERSION};
+use crate::manifest::{RunManifest, MANIFEST_SCHEMA_VERSION};
 use sim_harness::fnv1a;
 use sim_profile::ProfileReport;
+use sim_report::store::slugify;
 use sim_report::{
     align_series, check_schema, diff_groups, parse_series_jsonl, render_html, select, InjectView,
     ReportError, ReportInput, RunRecord, RunStore, Selector,
@@ -81,9 +82,9 @@ pub fn register_manifest(
     let id = format!(
         "r{:05}-{}-{}-{}-s{}",
         store.next_seq(),
-        slug(&m.exhibit),
-        slug(&m.mix),
-        slug(&m.scheme),
+        slugify(&m.exhibit),
+        slugify(&m.mix),
+        slugify(&m.scheme),
         m.salt
     );
     let mut artifacts: Vec<(String, String)> = Vec::new();
@@ -92,7 +93,12 @@ pub fn register_manifest(
     }
     // The exporters key files on run id + slugged mix/scheme; probe the
     // patterns they actually write (see runner.rs).
-    let base = format!("run{:04}_{}_{}", m.run_id, slug(&m.mix), slug(&m.scheme));
+    let base = format!(
+        "run{:04}_{}_{}",
+        m.run_id,
+        slugify(&m.mix),
+        slugify(&m.scheme)
+    );
     for (kind, dir, name) in [
         (
             "series",
@@ -155,15 +161,15 @@ pub fn register_inject(
         let id = format!(
             "r{:05}-fault-inject-{}-{}-s{}",
             store.next_seq(),
-            slug(&report.mix),
-            slug(&sc.scheme),
+            slugify(&report.mix),
+            slugify(&sc.scheme),
             sc.salt
         );
         let mut artifacts: Vec<(String, String)> = Vec::new();
         if let Some(path) = report_path {
             artifacts.push(("inject".to_string(), store.relativize(path)));
         }
-        let prom = format!("inject_s{}_{}.prom", sc.salt, slug(&sc.scheme));
+        let prom = format!("inject_s{}_{}.prom", sc.salt, slugify(&sc.scheme));
         if let Some(rel) = probe(store, metrics_dir, &prom) {
             artifacts.push(("prom".to_string(), rel));
         }
@@ -508,7 +514,6 @@ mod tests {
                 measure_s: 2.0,
                 collect_s: 0.25,
             },
-            stage_seconds: None,
             metrics: FinalMetrics {
                 iq_avf: 0.31,
                 throughput_ipc: 3.2,
@@ -688,9 +693,10 @@ mod tests {
         assert!(!html.to_ascii_lowercase().contains("http"));
         // Doctor the manifest to a future schema: the read path must
         // refuse with the typed fatal code, not render garbage.
-        let doctored = std::fs::read_to_string(&manifest_path)
-            .unwrap()
-            .replace("\"schema_version\": 1", "\"schema_version\": 99");
+        let doctored = std::fs::read_to_string(&manifest_path).unwrap().replace(
+            &format!("\"schema_version\": {MANIFEST_SCHEMA_VERSION}"),
+            "\"schema_version\": 99",
+        );
         assert_ne!(doctored, std::fs::read_to_string(&manifest_path).unwrap());
         std::fs::write(&manifest_path, doctored).unwrap();
         assert_eq!(cmd_report(&args), EXIT_FATAL);

@@ -1,22 +1,27 @@
-//! Low-level simulation driver shared by every experiment.
+//! The simulation driver behind every experiment. One private function,
+//! `simulate`, runs a simulation end to end; [`run_scheme_salted`] (the
+//! memoized entry every exhibit goes through) and
+//! [`run_scheme_supervised`] (campaign jobs) are its only callers.
 
 use crate::checkpoint::{
     decode_checkpoint, run_measured_checkpointed, CheckpointPolicy, C_SNAPSHOTS_RESTORED,
     C_SNAPSHOTS_SKIPPED_CORRUPT,
 };
 use crate::context::ExperimentContext;
-use crate::manifest::{slug, RunManifest};
+use crate::manifest::RunManifest;
 use avf::{AvfCollector, AvfReport};
-use iq_reliability::Scheme;
+use iq_reliability::{DvmHandle, Scheme};
 use sim_harness::JobError;
 use sim_metrics::summary::MetricsSummary;
 use sim_metrics::Metrics;
 use sim_profile::ProfileReport;
+use sim_report::store::slugify;
 use sim_trace::chrome::ChromeTraceSink;
-use sim_trace::timing::{PhaseTimings, StageSeconds};
+use sim_trace::timing::PhaseTimings;
 use sim_trace::{TraceEvent, Tracer};
-use smt_sim::{CancelToken, FetchPolicyKind, Pipeline, SimLimits};
-use workload_gen::WorkloadMix;
+use smt_sim::{CancelToken, FetchPolicyKind, Pipeline, SimLimits, SimStats};
+use std::sync::Arc;
+use workload_gen::{Program, WorkloadMix};
 
 /// Everything one simulation produced.
 #[derive(Debug, Clone)]
@@ -25,12 +30,9 @@ pub struct RunOutcome {
     pub scheme: &'static str,
     pub fetch: FetchPolicyKind,
     pub avf: AvfReport,
-    pub throughput_ipc: f64,
-    pub harmonic_ipc: f64,
-    pub l2_misses: u64,
-    pub flushes: u64,
-    pub mispredict_rate: f64,
-    pub governor_stall_cycles: u64,
+    /// Pipeline statistics of the measured window: IPC, L2 misses,
+    /// flushes, governor stalls, Figure 2's ready-queue histogram.
+    pub stats: SimStats,
     /// Average adaptive wq_ratio (DVM runs only).
     pub dvm_avg_ratio: Option<f64>,
     pub deadlocked: bool,
@@ -48,8 +50,6 @@ pub struct RunOutcome {
     /// only the simulated tail, so the figure is only comparable across
     /// fresh (non-restored) runs; the bench baseline uses fresh runs.
     pub cycles_per_sec: f64,
-    /// Per-pipeline-stage wall-clock breakdown (traced runs only).
-    pub stage_seconds: Option<StageSeconds>,
     /// Digest of the run's sim-metrics registry (metrics-enabled
     /// contexts only).
     pub sim_metrics: Option<MetricsSummary>,
@@ -96,278 +96,223 @@ pub fn run_scheme_salted(
     // on one key both simulate; their outcomes are identical and the
     // second insert keeps the first. No exhibit issues one key twice
     // inside one `parallel_map`, so in-flight runs are not deduplicated.
-    let outcome = run_scheme_cancellable(ctx, mix, scheme, fetch, salt, None);
+    let outcome = simulate(ctx, mix, scheme, fetch, salt, None, None)
+        .expect("only snapshot loads and writes fail, and this run has no checkpoints");
     ctx.memo_insert(key, &outcome);
     outcome
 }
 
-/// [`run_scheme_salted`] with an optional cooperative cancel token: the
-/// supervised campaign paths thread the harness's per-attempt token in
-/// so a wall-clock deadline can stop the simulation at the next
-/// interval-clock tick instead of waiting out the full cycle budget.
-/// It always simulates: it neither reads nor fills the context's memo.
-pub fn run_scheme_cancellable(
+/// A campaign job's run: the simulation [`run_scheme_salted`] performs,
+/// under the harness's per-attempt cancel token, so a wall-clock
+/// deadline or a shutdown request stops it at the next interval-clock
+/// poll — in warm-up as well as in the measured window. It always
+/// simulates: it neither reads nor fills the context's memo.
+///
+/// With a checkpoint policy, the job's
+/// [`SnapshotStore`](sim_harness::SnapshotStore) is consulted first and
+/// the newest valid snapshot — if any — is restored (skipping corrupt
+/// generations, with a typed [`JobError::Corrupt`] when every
+/// generation is bad), so the run continues bit-identically from the
+/// last checkpoint instead of re-simulating from cycle zero. A restored
+/// run skips warmup — the warmed-up, mid-measurement machine *is* the
+/// snapshot. During the measured window a snapshot lands in the store
+/// every `policy.every` simulated cycles (rounded to the
+/// sampling-interval grid) and `on_checkpoint` fires once per durable
+/// snapshot — the hook the campaign layer uses to mark the journal
+/// `checkpointed`. With `policy.selfcheck`, structural invariants are
+/// validated at every boundary and the run fails fast as
+/// [`JobError::Diverged`] instead of persisting a poisoned checkpoint.
+#[allow(clippy::too_many_arguments)]
+pub fn run_scheme_supervised(
     ctx: &ExperimentContext,
     mix: &WorkloadMix,
     scheme: Scheme,
     fetch: FetchPolicyKind,
     salt: u64,
-    cancel: Option<CancelToken>,
-) -> RunOutcome {
-    let mut timings = PhaseTimings::default();
-    let run_id = ctx.next_run_id();
-
-    let programs = PhaseTimings::time(&mut timings.generate_s, || {
-        ctx.mix_programs_salted(mix, salt)
-    });
-    let (policies, dvm_handle) = scheme.policies(fetch, ctx.machine.iq_size);
-    let mut pipeline = Pipeline::new(ctx.machine.clone(), programs, policies);
-    if let Some(token) = cancel {
-        pipeline.set_cancel_token(token);
-    }
-    attach_tracing(ctx, &mut pipeline, run_id, mix, scheme);
-    attach_profiling(ctx, &mut pipeline);
-    let metrics = attach_metrics(ctx, &mut pipeline);
-
-    let start = PhaseTimings::time(&mut timings.warmup_s, || {
-        pipeline.warm_up(ctx.params.warmup_insts)
-    });
-    let mut collector =
-        AvfCollector::new(&ctx.machine, ctx.params.ace_window, 10_000).with_start_cycle(start);
-    collector.set_profiling(ctx.profile_dir().is_some());
-    let result = PhaseTimings::time(&mut timings.measure_s, || {
-        pipeline.run(SimLimits::cycles(ctx.params.run_cycles), &mut collector)
-    });
-    let avf = PhaseTimings::time(&mut timings.collect_s, || collector.report());
-    let mut profile = pipeline.profile_report();
-    profile.merge(&collector.profile_report(), "avf");
-    export_profile(ctx, &pipeline, &profile, run_id, mix, scheme);
-    pipeline.tracer().flush();
-    let stage_seconds = stage_snapshot(&profile);
-    let sim_metrics = export_metrics(ctx, metrics.as_ref(), run_id, mix, scheme);
-
-    let outcome = RunOutcome {
-        mix: mix.name.clone(),
-        scheme: scheme.label(),
-        fetch,
-        avf,
-        throughput_ipc: result.stats.throughput_ipc(),
-        harmonic_ipc: result.stats.harmonic_ipc(),
-        l2_misses: result.stats.l2_misses,
-        flushes: result.stats.flushes,
-        mispredict_rate: result.stats.mispredict_rate(),
-        governor_stall_cycles: result.stats.governor_stall_cycles,
-        dvm_avg_ratio: dvm_handle.map(|h| h.lock().average_ratio()),
-        deadlocked: result.deadlocked,
-        cancelled: result.cancelled,
-        salt,
-        cycles_per_sec: cycles_per_sec(result.stats.cycles, timings.measure_s),
-        timings,
-        stage_seconds,
-        sim_metrics,
-    };
-    ctx.record_manifest(RunManifest::new(run_id, ctx, mix, scheme, fetch, &outcome));
-    outcome
+    cancel: &CancelToken,
+    checkpoint: Option<&CheckpointPolicy<'_>>,
+    mut on_checkpoint: impl FnMut(u64),
+) -> Result<RunOutcome, JobError> {
+    let checkpoint = checkpoint.map(|policy| (policy, &mut on_checkpoint as &mut dyn FnMut(u64)));
+    simulate(ctx, mix, scheme, fetch, salt, Some(cancel), checkpoint)
 }
 
-/// [`run_scheme_cancellable`] with mid-run checkpointing: before
-/// simulating, the job's [`SnapshotStore`](sim_harness::SnapshotStore)
-/// is consulted and the newest valid snapshot — if any — is restored
-/// (skipping corrupt generations, with a typed
-/// [`JobError::Corrupt`] when every generation is bad), so the run
-/// continues bit-identically from the last checkpoint instead of
-/// re-simulating from cycle zero. A restored run skips warmup — the
-/// warmed-up, mid-measurement machine *is* the snapshot.
-///
-/// During the measured window a snapshot lands in the store every
-/// `policy.every` simulated cycles (rounded to the sampling-interval
-/// grid) and `on_checkpoint` fires once per durable snapshot — the hook
-/// the campaign layer uses to mark the journal `checkpointed`. With
-/// `policy.selfcheck`, structural invariants are validated at every
-/// boundary and the run fails fast as [`JobError::Diverged`] instead of
-/// persisting a poisoned checkpoint.
-#[allow(clippy::too_many_arguments)]
-pub fn run_scheme_checkpointed(
+/// One simulation's live state: the pipeline with its attachments, the
+/// ground-truth AVF observer and the DVM telemetry handle.
+struct Machine {
+    pipeline: Pipeline,
+    collector: AvfCollector,
+    dvm: Option<DvmHandle>,
+}
+
+/// A fresh machine with every attachment in place, in one order: the
+/// cancel token, a new metrics registry, the tracer, the profiler and
+/// the progress counter. They go on before warm-up or restore, so a
+/// deadline stops warm-up too, a snapshot taken with metrics on
+/// restores onto a registry that is on, and traces and progress cover
+/// warm-up on every path.
+fn build_machine(
+    ctx: &ExperimentContext,
+    programs: &[Arc<Program>],
+    scheme: Scheme,
+    fetch: FetchPolicyKind,
+    cancel: Option<&CancelToken>,
+    tracer: &Tracer,
+) -> Machine {
+    let (policies, dvm) = scheme.policies(fetch, ctx.machine.iq_size);
+    let mut pipeline = Pipeline::new(ctx.machine.clone(), programs.to_vec(), policies);
+    if let Some(token) = cancel {
+        pipeline.set_cancel_token(token.clone());
+    }
+    if ctx.metrics_dir().is_some() {
+        pipeline.set_metrics(Metrics::new());
+    }
+    if tracer.is_on() {
+        pipeline.set_tracer(tracer.clone());
+    }
+    // A traced run carries the profile as a flame chart, so tracing
+    // turns the span profiler on as well.
+    if ctx.profile_dir().is_some() || tracer.is_on() {
+        pipeline.set_stage_profiling(true);
+    }
+    if let Some(counter) = ctx.progress_counter() {
+        pipeline.set_progress_counter(counter);
+    }
+    let mut collector = AvfCollector::new(&ctx.machine, ctx.params.ace_window, 10_000);
+    collector.set_profiling(ctx.profile_dir().is_some());
+    Machine {
+        pipeline,
+        collector,
+        dvm,
+    }
+}
+
+/// Run one simulation end to end: generate the tagged programs, build
+/// the machine, warm it up — or, with a checkpoint policy, restore the
+/// newest valid snapshot — measure the context's cycle window, collect
+/// AVF, export the run's profile, trace and metrics, and log its
+/// manifest. Without a checkpoint policy the measured window is a plain
+/// [`Pipeline::run`] into the collector, and nothing can fail.
+fn simulate(
     ctx: &ExperimentContext,
     mix: &WorkloadMix,
     scheme: Scheme,
     fetch: FetchPolicyKind,
     salt: u64,
-    cancel: Option<CancelToken>,
-    policy: &CheckpointPolicy<'_>,
-    mut on_checkpoint: impl FnMut(u64),
+    cancel: Option<&CancelToken>,
+    checkpoint: Option<(&CheckpointPolicy<'_>, &mut dyn FnMut(u64))>,
 ) -> Result<RunOutcome, JobError> {
     let mut timings = PhaseTimings::default();
     let run_id = ctx.next_run_id();
-
+    let base = format!(
+        "run{run_id:04}_{}_{}",
+        slugify(&mix.name),
+        slugify(scheme.label())
+    );
     let programs = PhaseTimings::time(&mut timings.generate_s, || {
         ctx.mix_programs_salted(mix, salt)
     });
-    // Fresh (pipeline, collector, dvm-handle) factory. The restore path
-    // decodes each snapshot candidate into freshly built objects, so a
-    // partial restore from a corrupt file can never contaminate the
-    // state an older valid snapshot then restores into.
-    let build = || {
-        let (policies, dvm_handle) = scheme.policies(fetch, ctx.machine.iq_size);
-        let pipeline = Pipeline::new(ctx.machine.clone(), programs.clone(), policies);
-        let collector = AvfCollector::new(&ctx.machine, ctx.params.ace_window, 10_000);
-        (pipeline, collector, dvm_handle)
-    };
+    let tracer = open_tracer(ctx, &base);
+    let build = || build_machine(ctx, &programs, scheme, fetch, cancel, &tracer);
 
-    let restored = policy.store.load_latest_valid(|bytes| {
-        let (mut p, mut c, h) = build();
-        let cycle = decode_checkpoint(bytes, &mut p, &mut c)?;
-        Ok((p, c, h, cycle))
-    })?;
-    let (mut pipeline, mut collector, dvm_handle) = match restored {
-        Some(loaded) => {
-            if loaded.skipped_corrupt > 0 {
-                policy
-                    .metrics
-                    .counter_add(C_SNAPSHOTS_SKIPPED_CORRUPT, loaded.skipped_corrupt as u64);
-                eprintln!(
-                    "experiments: skipped {} corrupt snapshot(s) for {} / {}; resuming from cycle {}",
-                    loaded.skipped_corrupt,
-                    mix.name,
-                    scheme.label(),
-                    loaded.cycle,
-                );
+    // Each snapshot candidate decodes into a machine of its own, so a
+    // partial restore from a corrupt file never leaks into the state an
+    // older valid snapshot then restores into.
+    let restored = match &checkpoint {
+        Some((policy, _)) => {
+            let loaded = policy.store.load_latest_valid(|bytes| {
+                let mut m = build();
+                decode_checkpoint(bytes, &mut m.pipeline, &mut m.collector)?;
+                Ok(m)
+            })?;
+            if let Some(loaded) = &loaded {
+                if loaded.skipped_corrupt > 0 {
+                    policy
+                        .metrics
+                        .counter_add(C_SNAPSHOTS_SKIPPED_CORRUPT, loaded.skipped_corrupt as u64);
+                    eprintln!(
+                        "experiments: skipped {} corrupt snapshot(s) for {} / {}; resuming from cycle {}",
+                        loaded.skipped_corrupt,
+                        mix.name,
+                        scheme.label(),
+                        loaded.cycle,
+                    );
+                }
+                policy.metrics.counter_add(C_SNAPSHOTS_RESTORED, 1);
             }
-            policy.metrics.counter_add(C_SNAPSHOTS_RESTORED, 1);
-            let (p, c, h, _) = loaded.value;
-            (p, c, h)
+            loaded.map(|loaded| loaded.value)
         }
+        None => None,
+    };
+    let mut m = match restored {
+        Some(m) => m,
         None => {
-            let (mut p, c, h) = build();
-            let start =
-                PhaseTimings::time(&mut timings.warmup_s, || p.warm_up(ctx.params.warmup_insts));
-            (p, c.with_start_cycle(start), h)
+            let mut m = build();
+            let start = PhaseTimings::time(&mut timings.warmup_s, || {
+                m.pipeline.warm_up(ctx.params.warmup_insts)
+            });
+            m.collector = m.collector.with_start_cycle(start);
+            m
         }
     };
-    if let Some(token) = cancel {
-        pipeline.set_cancel_token(token);
-    }
-    attach_tracing(ctx, &mut pipeline, run_id, mix, scheme);
-    attach_profiling(ctx, &mut pipeline);
-    let metrics = attach_metrics(ctx, &mut pipeline);
-    collector.set_profiling(ctx.profile_dir().is_some());
 
-    // The cycle budget is measured relative to the snapshotted
-    // measurement origin, so a restored run resumed with the same
-    // limits stops at the same absolute cycle a straight-through run
-    // would have.
-    let run = PhaseTimings::time(&mut timings.measure_s, || {
-        run_measured_checkpointed(
-            &mut pipeline,
-            collector,
-            SimLimits::cycles(ctx.params.run_cycles),
-            policy,
-            &mut on_checkpoint,
-        )
-    });
-    let run = match run {
-        Ok(run) => run,
-        Err(err) => {
-            // A failed attempt must still leave whole observability
-            // artifacts behind: flush the trace sink and export the
-            // partial metrics registry before propagating, so a drained
-            // or resumed campaign never finds torn files.
-            pipeline.tracer().flush();
-            export_metrics(ctx, metrics.as_ref(), run_id, mix, scheme);
-            return Err(err);
+    // The cycle budget is measured from the measurement origin, which a
+    // snapshot carries, so a restored run stops at the same absolute
+    // cycle a straight-through run would have.
+    let limits = SimLimits::cycles(ctx.params.run_cycles);
+    let result = match checkpoint {
+        None => PhaseTimings::time(&mut timings.measure_s, || {
+            m.pipeline.run(limits, &mut m.collector)
+        }),
+        Some((policy, on_checkpoint)) => {
+            let run = PhaseTimings::time(&mut timings.measure_s, || {
+                run_measured_checkpointed(
+                    &mut m.pipeline,
+                    m.collector,
+                    limits,
+                    policy,
+                    on_checkpoint,
+                )
+            });
+            match run {
+                Ok(run) => {
+                    m.collector = run.collector;
+                    run.result
+                }
+                Err(err) => {
+                    // A failed attempt still leaves whole artifacts: a
+                    // drained or resumed campaign must never find torn
+                    // trace or metrics files.
+                    tracer.flush();
+                    export_metrics(ctx, m.pipeline.metrics(), &base);
+                    return Err(err);
+                }
+            }
         }
     };
-    let result = run.result;
-    let collector = run.collector;
-    let avf = PhaseTimings::time(&mut timings.collect_s, || collector.report());
-    let mut profile = pipeline.profile_report();
-    profile.merge(&collector.profile_report(), "avf");
-    export_profile(ctx, &pipeline, &profile, run_id, mix, scheme);
-    pipeline.tracer().flush();
-    let stage_seconds = stage_snapshot(&profile);
-    let sim_metrics = export_metrics(ctx, metrics.as_ref(), run_id, mix, scheme);
+    let avf = PhaseTimings::time(&mut timings.collect_s, || m.collector.report());
+    let mut profile = m.pipeline.profile_report();
+    profile.merge(&m.collector.profile_report(), "avf");
+    export_profile(ctx, &tracer, &profile, &base);
+    tracer.flush();
+    let sim_metrics = export_metrics(ctx, m.pipeline.metrics(), &base);
 
     let outcome = RunOutcome {
         mix: mix.name.clone(),
         scheme: scheme.label(),
         fetch,
         avf,
-        throughput_ipc: result.stats.throughput_ipc(),
-        harmonic_ipc: result.stats.harmonic_ipc(),
-        l2_misses: result.stats.l2_misses,
-        flushes: result.stats.flushes,
-        mispredict_rate: result.stats.mispredict_rate(),
-        governor_stall_cycles: result.stats.governor_stall_cycles,
-        dvm_avg_ratio: dvm_handle.map(|h| h.lock().average_ratio()),
+        dvm_avg_ratio: m.dvm.map(|h| h.lock().average_ratio()),
         deadlocked: result.deadlocked,
         cancelled: result.cancelled,
         salt,
         cycles_per_sec: cycles_per_sec(result.stats.cycles, timings.measure_s),
+        stats: result.stats,
         timings,
-        stage_seconds,
         sim_metrics,
     };
     ctx.record_manifest(RunManifest::new(run_id, ctx, mix, scheme, fetch, &outcome));
     Ok(outcome)
-}
-
-/// Drive one combination for its raw pipeline statistics only, with no
-/// ground-truth AVF collection (e.g. Figure 2's ready-queue census).
-/// Phase timing, trace export, and manifest logging match
-/// [`run_scheme`]; the manifest's AVF metrics read as zero.
-pub fn run_stats_only(
-    ctx: &ExperimentContext,
-    mix: &WorkloadMix,
-    scheme: Scheme,
-    fetch: FetchPolicyKind,
-) -> smt_sim::SimResult {
-    let mut timings = PhaseTimings::default();
-    let run_id = ctx.next_run_id();
-
-    let programs = PhaseTimings::time(&mut timings.generate_s, || ctx.mix_programs(mix));
-    let (policies, dvm_handle) = scheme.policies(fetch, ctx.machine.iq_size);
-    let mut pipeline = Pipeline::new(ctx.machine.clone(), programs, policies);
-    attach_tracing(ctx, &mut pipeline, run_id, mix, scheme);
-    attach_profiling(ctx, &mut pipeline);
-    let metrics = attach_metrics(ctx, &mut pipeline);
-
-    PhaseTimings::time(&mut timings.warmup_s, || {
-        pipeline.warm_up(ctx.params.warmup_insts)
-    });
-    let result = PhaseTimings::time(&mut timings.measure_s, || {
-        pipeline.run(
-            SimLimits::cycles(ctx.params.run_cycles),
-            &mut smt_sim::NullObserver,
-        )
-    });
-    let profile = pipeline.profile_report();
-    export_profile(ctx, &pipeline, &profile, run_id, mix, scheme);
-    pipeline.tracer().flush();
-    let stage_seconds = stage_snapshot(&profile);
-    let sim_metrics = export_metrics(ctx, metrics.as_ref(), run_id, mix, scheme);
-
-    let outcome = RunOutcome {
-        mix: mix.name.clone(),
-        scheme: scheme.label(),
-        fetch,
-        avf: AvfReport::default(),
-        throughput_ipc: result.stats.throughput_ipc(),
-        harmonic_ipc: result.stats.harmonic_ipc(),
-        l2_misses: result.stats.l2_misses,
-        flushes: result.stats.flushes,
-        mispredict_rate: result.stats.mispredict_rate(),
-        governor_stall_cycles: result.stats.governor_stall_cycles,
-        dvm_avg_ratio: dvm_handle.map(|h| h.lock().average_ratio()),
-        deadlocked: result.deadlocked,
-        cancelled: result.cancelled,
-        salt: 0,
-        cycles_per_sec: cycles_per_sec(result.stats.cycles, timings.measure_s),
-        timings,
-        stage_seconds,
-        sim_metrics,
-    };
-    ctx.record_manifest(RunManifest::new(run_id, ctx, mix, scheme, fetch, &outcome));
-    result
 }
 
 /// Simulated cycles per host wall-clock second over the measured window.
@@ -379,42 +324,21 @@ fn cycles_per_sec(cycles: u64, measure_s: f64) -> f64 {
     }
 }
 
-/// Flatten a merged profile report into the manifest's per-stage
-/// breakdown. `None` when profiling was off (no cycle was counted).
-/// The profile covers the window's cycles: stepped (`tick`) plus
-/// fast-forwarded (`fast_forward`).
-fn stage_snapshot(profile: &ProfileReport) -> Option<StageSeconds> {
-    let calls = |name: &str| {
-        profile
-            .nodes
-            .iter()
-            .find(|n| n.name == name)
-            .map_or(0, |n| n.calls)
+/// A Chrome trace exporter writing `<base>.trace.json` into the
+/// context's trace directory, or an off tracer when the context has
+/// none (or it cannot be created).
+fn open_tracer(ctx: &ExperimentContext, base: &str) -> Tracer {
+    let Some(dir) = ctx.trace_dir() else {
+        return Tracer::off();
     };
-    let cycles = calls("tick") + calls("fast_forward");
-    if cycles == 0 {
-        return None;
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!(
+            "experiments: cannot create trace dir {}: {e}",
+            dir.display()
+        );
+        return Tracer::off();
     }
-    Some(StageSeconds {
-        commit_s: profile.span_total_s("commit"),
-        writeback_s: profile.span_total_s("writeback"),
-        issue_s: profile.span_total_s("issue"),
-        dispatch_s: profile.span_total_s("dispatch"),
-        fetch_s: profile.span_total_s("fetch"),
-        profiled_cycles: cycles,
-    })
-}
-
-/// When the context carries a profile directory, turn on span profiling
-/// (independently of tracing — a `--profile` run need not pay for a
-/// Chrome trace).
-fn attach_profiling(ctx: &ExperimentContext, pipeline: &mut Pipeline) {
-    if ctx.profile_dir().is_some() {
-        pipeline.set_stage_profiling(true);
-    }
-    if let Some(counter) = ctx.progress_counter() {
-        pipeline.set_progress_counter(counter);
-    }
+    Tracer::new(ChromeTraceSink::new(dir.join(format!("{base}.trace.json"))))
 }
 
 /// Export a finished run's merged profile: a JSON report and a
@@ -422,21 +346,14 @@ fn attach_profiling(ctx: &ExperimentContext, pipeline: &mut Pipeline) {
 /// hot-spot table on stderr, and — when the run is also traced — the
 /// laid-out profile spans merged into the Chrome trace stream as a flame
 /// chart on the `profile` track.
-fn export_profile(
-    ctx: &ExperimentContext,
-    pipeline: &Pipeline,
-    profile: &ProfileReport,
-    run_id: u64,
-    mix: &WorkloadMix,
-    scheme: Scheme,
-) {
+fn export_profile(ctx: &ExperimentContext, tracer: &Tracer, profile: &ProfileReport, base: &str) {
     if profile.nodes.iter().all(|n| n.calls == 0) {
         return; // profiling was off
     }
     // Merge the span flame chart into the trace stream (no-op when the
     // run is untraced) before the sink is flushed.
     for span in profile.chrome_spans(0) {
-        pipeline.tracer().emit(move || TraceEvent::ProfileSpan {
+        tracer.emit(move || TraceEvent::ProfileSpan {
             start_us: span.start_us,
             dur_us: span.dur_us,
             name: span.name,
@@ -447,12 +364,6 @@ fn export_profile(
     let Some(dir) = ctx.profile_dir() else {
         return;
     };
-    let base = format!(
-        "run{:04}_{}_{}",
-        run_id,
-        slug(&mix.name),
-        slug(scheme.label()),
-    );
     let export = std::fs::create_dir_all(dir)
         .and_then(|_| {
             sim_harness::atomic_write(
@@ -472,84 +383,35 @@ fn export_profile(
     eprintln!("profile {base}:\n{}", profile.hotspot_table());
 }
 
-/// When the context carries a trace directory, attach a per-run Chrome
-/// trace exporter and turn on the sim-profile span profiler, whose tree
-/// [`stage_snapshot`] flattens into the manifest's stage seconds.
-fn attach_tracing(
-    ctx: &ExperimentContext,
-    pipeline: &mut Pipeline,
-    run_id: u64,
-    mix: &WorkloadMix,
-    scheme: Scheme,
-) {
-    let Some(dir) = ctx.trace_dir() else {
-        return;
-    };
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!(
-            "experiments: cannot create trace dir {}: {e}",
-            dir.display()
-        );
-        return;
-    }
-    let path = dir.join(format!(
-        "run{:04}_{}_{}.trace.json",
-        run_id,
-        slug(&mix.name),
-        slug(scheme.label()),
-    ));
-    pipeline.set_tracer(Tracer::new(ChromeTraceSink::new(path)));
-    pipeline.set_stage_profiling(true);
-}
-
-/// When the context carries a metrics directory, attach a fresh
-/// sim-metrics registry to the pipeline (and through it, the governor).
-fn attach_metrics(ctx: &ExperimentContext, pipeline: &mut Pipeline) -> Option<Metrics> {
-    ctx.metrics_dir()?;
-    let metrics = Metrics::new();
-    pipeline.set_metrics(metrics.clone());
-    Some(metrics)
-}
-
 /// Export a finished run's registry (per-interval JSONL series +
 /// Prometheus text) into the context's metrics directory and digest it
-/// for the manifest.
+/// for the manifest. `None` when the context records no metrics.
 fn export_metrics(
     ctx: &ExperimentContext,
-    metrics: Option<&Metrics>,
-    run_id: u64,
-    mix: &WorkloadMix,
-    scheme: Scheme,
+    metrics: &Metrics,
+    base: &str,
 ) -> Option<MetricsSummary> {
-    let metrics = metrics?;
+    let dir = ctx.metrics_dir()?;
     let snapshot = metrics.snapshot();
-    if let Some(dir) = ctx.metrics_dir() {
-        let base = format!(
-            "run{:04}_{}_{}",
-            run_id,
-            slug(&mix.name),
-            slug(scheme.label()),
-        );
-        // Atomic exports: stream to a buffer, then `.tmp` + rename, so
-        // a crash (or SIGINT) mid-export never leaves a torn file for a
-        // resumed campaign to trip over.
-        let export = std::fs::create_dir_all(dir)
-            .and_then(|_| {
-                let mut buf = Vec::new();
-                sim_metrics::export::write_series_jsonl(&snapshot, &mut buf)?;
-                let text = String::from_utf8(buf)
-                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-                sim_harness::atomic_write(&dir.join(format!("{base}.series.jsonl")), &text)
-            })
-            .and_then(|_| {
-                sim_harness::atomic_write(
-                    &dir.join(format!("{base}.prom")),
-                    &sim_metrics::export::render_prometheus(&snapshot),
-                )
-            });
-        if let Err(e) = export {
-            eprintln!("experiments: metrics export failed for {base}: {e}");
-        }
+    // Atomic exports: stream to a buffer, then `.tmp` + rename, so a
+    // crash (or SIGINT) mid-export never leaves a torn file for a
+    // resumed campaign to trip over.
+    let export = std::fs::create_dir_all(dir)
+        .and_then(|_| {
+            let mut buf = Vec::new();
+            sim_metrics::export::write_series_jsonl(&snapshot, &mut buf)?;
+            let text = String::from_utf8(buf)
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+            sim_harness::atomic_write(&dir.join(format!("{base}.series.jsonl")), &text)
+        })
+        .and_then(|_| {
+            sim_harness::atomic_write(
+                &dir.join(format!("{base}.prom")),
+                &sim_metrics::export::render_prometheus(&snapshot),
+            )
+        });
+    if let Err(e) = export {
+        eprintln!("experiments: metrics export failed for {base}: {e}");
     }
     Some(MetricsSummary::from_snapshot(&snapshot))
 }
@@ -558,6 +420,7 @@ fn export_metrics(
 mod tests {
     use super::*;
     use crate::context::ExperimentParams;
+    use sim_harness::SnapshotStore;
 
     #[test]
     fn baseline_run_completes_and_reports() {
@@ -565,10 +428,9 @@ mod tests {
         let mix = workload_gen::mix_by_name("CPU-A").unwrap();
         let out = run_scheme(&ctx, &mix, Scheme::Baseline, FetchPolicyKind::Icount);
         assert!(!out.deadlocked);
-        assert!(out.throughput_ipc > 0.5);
+        assert!(out.stats.throughput_ipc() > 0.5);
         assert!(out.avf.iq_avf > 0.0 && out.avf.iq_avf < 1.0);
         assert!(out.dvm_avg_ratio.is_none());
-        assert!(out.stage_seconds.is_none(), "profiling is opt-in");
         assert_eq!(out.mix, "CPU-A");
         // Self-profiling: every phase saw wall-clock time.
         assert!(out.timings.warmup_s > 0.0);
@@ -578,9 +440,29 @@ mod tests {
         let manifests = ctx.drain_manifests();
         assert_eq!(manifests.len(), 1);
         assert_eq!(manifests[0].mix, "CPU-A");
-        assert_eq!(manifests[0].metrics.l2_misses, out.l2_misses);
+        assert_eq!(manifests[0].metrics.l2_misses, out.stats.l2_misses);
         assert_eq!(manifests[0].seeds.len(), manifests[0].benchmarks.len());
         assert!(ctx.drain_manifests().is_empty(), "drain empties the log");
+
+        // Profiling is opt-in: without a profile or trace directory the
+        // machine's span profiler stays off, so its report — the one
+        // `export_profile` would write — counts no call.
+        let mut plain = build_machine(
+            &ctx,
+            &ctx.mix_programs(&mix),
+            Scheme::Baseline,
+            FetchPolicyKind::Icount,
+            None,
+            &Tracer::off(),
+        );
+        plain
+            .pipeline
+            .run(SimLimits::cycles(1_000), &mut plain.collector);
+        let report = plain.pipeline.profile_report();
+        assert!(
+            report.nodes.iter().all(|n| n.calls == 0),
+            "profiling is opt-in"
+        );
     }
 
     /// A budget small enough for memo tests: what the memo does does not
@@ -596,6 +478,29 @@ mod tests {
     fn interval_bits(out: &RunOutcome) -> Vec<u64> {
         let samples = out.avf.iq_interval_avf.samples();
         samples.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The simulated outputs of two runs agree bit for bit.
+    fn assert_same_run(a: &RunOutcome, b: &RunOutcome) {
+        assert_eq!(a.avf.iq_avf.to_bits(), b.avf.iq_avf.to_bits());
+        assert_eq!(
+            a.stats.throughput_ipc().to_bits(),
+            b.stats.throughput_ipc().to_bits()
+        );
+        assert_eq!(
+            a.stats.harmonic_ipc().to_bits(),
+            b.stats.harmonic_ipc().to_bits()
+        );
+        assert_eq!(a.stats.l2_misses, b.stats.l2_misses);
+        assert_eq!(a.stats.flushes, b.stats.flushes);
+        assert_eq!(interval_bits(a), interval_bits(b));
+    }
+
+    /// Scratch directory for one test, emptied first.
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(name);
+        std::fs::remove_dir_all(&dir).ok();
+        dir
     }
 
     #[test]
@@ -614,10 +519,7 @@ mod tests {
             FetchPolicyKind::Icount,
         );
         for out in [&again, &fresh] {
-            assert_eq!(out.avf.iq_avf.to_bits(), first.avf.iq_avf.to_bits());
-            assert_eq!(out.throughput_ipc.to_bits(), first.throughput_ipc.to_bits());
-            assert_eq!(out.harmonic_ipc.to_bits(), first.harmonic_ipc.to_bits());
-            assert_eq!(interval_bits(out), interval_bits(&first));
+            assert_same_run(out, &first);
         }
         assert_eq!(interval_bits(&first).len(), 3, "one sample per interval");
         assert_eq!(
@@ -676,11 +578,13 @@ mod tests {
         let ctx = ExperimentContext::new(tiny_params());
         let mix = workload_gen::mix_by_name("CPU-A").unwrap();
         let (scheme, fetch) = (Scheme::Baseline, FetchPolicyKind::Icount);
+        let supervised = |salt, token: &CancelToken| {
+            run_scheme_supervised(&ctx, &mix, scheme, fetch, salt, token, None, |_| {}).unwrap()
+        };
         run_scheme(&ctx, &mix, scheme, fetch);
         assert_eq!(ctx.drain_manifests().len(), 1);
         for _ in 0..2 {
-            let out =
-                run_scheme_cancellable(&ctx, &mix, scheme, fetch, 0, Some(CancelToken::new()));
+            let out = supervised(0, &CancelToken::new());
             assert!(!out.cancelled);
             assert_eq!(ctx.drain_manifests().len(), 1, "a supervised run simulates");
         }
@@ -690,7 +594,7 @@ mod tests {
         // uncancelled call with its key simulates in full.
         let token = CancelToken::new();
         token.cancel();
-        let cancelled = run_scheme_cancellable(&ctx, &mix, scheme, fetch, 1, Some(token));
+        let cancelled = supervised(1, &token);
         assert!(cancelled.cancelled);
         ctx.memo_insert(ctx.run_key(&mix, scheme, fetch, 1), &cancelled);
         let full = run_scheme_salted(&ctx, &mix, scheme, fetch, 1);
@@ -701,11 +605,10 @@ mod tests {
 
     #[test]
     fn checkpointed_rerun_restores_and_matches_bit_for_bit() {
-        let dir = std::env::temp_dir().join("smtsim_runner_ckpt_test");
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = scratch("smtsim_runner_ckpt_test");
         let ctx = ExperimentContext::new(ExperimentParams::bench());
         let mix = workload_gen::mix_by_name("CPU-A").unwrap();
-        let store = sim_harness::SnapshotStore::new(&dir, "cpu-a-baseline");
+        let store = SnapshotStore::new(&dir, "cpu-a-baseline");
         let metrics = Metrics::off();
         let policy = CheckpointPolicy {
             store: &store,
@@ -713,19 +616,24 @@ mod tests {
             selfcheck: true,
             metrics: &metrics,
         };
+        let run = |on_checkpoint: &mut dyn FnMut(u64)| {
+            let (scheme, fetch) = (Scheme::Baseline, FetchPolicyKind::Icount);
+            let token = CancelToken::new();
+            run_scheme_supervised(
+                &ctx,
+                &mix,
+                scheme,
+                fetch,
+                0,
+                &token,
+                Some(&policy),
+                on_checkpoint,
+            )
+            .unwrap()
+        };
 
         let mut checkpoints = 0u64;
-        let first = run_scheme_checkpointed(
-            &ctx,
-            &mix,
-            Scheme::Baseline,
-            FetchPolicyKind::Icount,
-            0,
-            None,
-            &policy,
-            |_| checkpoints += 1,
-        )
-        .unwrap();
+        let first = run(&mut |_| checkpoints += 1);
         assert!(!first.deadlocked && !first.cancelled);
         assert!(checkpoints >= 2, "bench budget spans several boundaries");
         assert!(!store.list().is_empty(), "snapshots persisted on disk");
@@ -733,25 +641,88 @@ mod tests {
         // A second invocation restores the newest snapshot (taken at
         // the last mid-run boundary), simulates only the tail, and
         // must land on the exact same statistics — and skip warmup.
-        let resumed = run_scheme_checkpointed(
-            &ctx,
-            &mix,
-            Scheme::Baseline,
-            FetchPolicyKind::Icount,
-            0,
-            None,
-            &policy,
-            |_| {},
-        )
-        .unwrap();
+        let resumed = run(&mut |_| {});
         assert_eq!(resumed.timings.warmup_s, 0.0, "restored runs skip warmup");
-        assert_eq!(resumed.avf.iq_avf.to_bits(), first.avf.iq_avf.to_bits());
-        assert_eq!(
-            resumed.throughput_ipc.to_bits(),
-            first.throughput_ipc.to_bits()
+        assert_same_run(&resumed, &first);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A snapshot taken with metrics on records the registry as on, so
+    /// it only restores onto a machine whose registry is on as well: the
+    /// registry must be attached before the restore, not after it.
+    #[test]
+    fn metrics_on_rerun_restores_its_own_snapshot() {
+        let dir = scratch("smtsim_runner_metrics_ckpt_test");
+        let ctx = ExperimentContext::new(tiny_params()).with_metrics_dir(dir.join("metrics"));
+        let mix = workload_gen::mix_by_name("MEM-A").unwrap();
+        let scheme = Scheme::DvmDynamic { target: 0.15 };
+        let store = SnapshotStore::new(&dir, "mem-a-dvm");
+        let metrics = Metrics::new();
+        let policy = CheckpointPolicy {
+            store: &store,
+            every: 10_000,
+            selfcheck: false,
+            metrics: &metrics,
+        };
+        let run = || {
+            let token = CancelToken::new();
+            let fetch = FetchPolicyKind::Icount;
+            run_scheme_supervised(&ctx, &mix, scheme, fetch, 0, &token, Some(&policy), |_| {})
+        };
+        let first = run().unwrap();
+        assert!(!store.list().is_empty(), "snapshots persisted on disk");
+        let resumed = run().expect("a metrics-on snapshot restores with metrics on");
+        assert_eq!(metrics.snapshot().counter(C_SNAPSHOTS_RESTORED), Some(1));
+        assert_eq!(resumed.timings.warmup_s, 0.0, "restored runs skip warmup");
+        assert_same_run(&resumed, &first);
+        // The restored registry carries the snapshot's series, so the
+        // resumed run still reports one point per measured interval.
+        let points = |out: &RunOutcome| {
+            out.sim_metrics
+                .as_ref()
+                .unwrap()
+                .series("ipc")
+                .unwrap()
+                .points
+        };
+        assert_eq!(points(&resumed), points(&first));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A token cancelled before the call stops the checkpointed run at
+    /// warm-up's first poll: the cancel token is attached before warm-up.
+    #[test]
+    fn cancelled_checkpointed_run_skips_warm_up() {
+        let dir = scratch("smtsim_runner_cancel_ckpt_test");
+        let mut params = ExperimentParams::bench();
+        params.run_cycles = 20_000;
+        let ctx = ExperimentContext::new(params);
+        let mix = workload_gen::mix_by_name("CPU-A").unwrap();
+        let metrics = Metrics::off();
+        let run = |job: &str, token: &CancelToken| {
+            let store = SnapshotStore::new(&dir, job);
+            let policy = CheckpointPolicy {
+                store: &store,
+                every: 10_000,
+                selfcheck: false,
+                metrics: &metrics,
+            };
+            let (scheme, fetch) = (Scheme::Baseline, FetchPolicyKind::Icount);
+            run_scheme_supervised(&ctx, &mix, scheme, fetch, 0, token, Some(&policy), |_| {})
+                .unwrap()
+        };
+        let full = run("uncancelled", &CancelToken::new());
+        assert!(!full.cancelled);
+        let token = CancelToken::new();
+        token.cancel();
+        let stopped = run("cancelled", &token);
+        assert!(stopped.cancelled);
+        assert!(
+            stopped.timings.warmup_s < full.timings.warmup_s / 10.0,
+            "cancelled warm-up took {:.4}s, uncancelled {:.4}s",
+            stopped.timings.warmup_s,
+            full.timings.warmup_s
         );
-        assert_eq!(resumed.l2_misses, first.l2_misses);
-        assert_eq!(resumed.flushes, first.flushes);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -814,16 +785,12 @@ mod tests {
 
     #[test]
     fn profiled_run_exports_report_and_collapsed_stacks() {
-        let dir = std::env::temp_dir().join("smtsim_runner_profile_test");
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = scratch("smtsim_runner_profile_test");
         let ctx = ExperimentContext::new(ExperimentParams::fast()).with_profile_dir(&dir);
         let mix = workload_gen::mix_by_name("CPU-A").unwrap();
         let out = run_scheme(&ctx, &mix, Scheme::Baseline, FetchPolicyKind::Icount);
         assert!(!out.deadlocked);
         assert!(out.cycles_per_sec > 0.0, "throughput recorded");
-        let stages = out.stage_seconds.expect("profiled runs report stages");
-        assert!(stages.total_s() > 0.0);
-        assert_eq!(stages.profiled_cycles, ctx.params.run_cycles);
         // Both export files landed, named after the run.
         let mut names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
@@ -845,13 +812,17 @@ mod tests {
             );
         }
         // Every measured cycle is stepped (one `tick`, one call of each
-        // stage) or fast-forwarded (one `fast_forward` call).
+        // stage) or fast-forwarded (one `fast_forward` call), and the
+        // stages account for wall time.
         let calls = |name: &str| report.nodes.iter().find(|n| n.name == name).unwrap().calls;
         let ticks = calls("tick");
         assert_eq!(ticks + calls("fast_forward"), ctx.params.run_cycles);
-        for stage in ["commit", "writeback", "issue", "dispatch", "fetch"] {
+        let stages = ["commit", "writeback", "issue", "dispatch", "fetch"];
+        for stage in stages {
             assert_eq!(calls(stage), ticks, "{stage}");
         }
+        let stage_s: f64 = stages.iter().map(|s| report.span_total_s(s)).sum();
+        assert!(stage_s > 0.0, "stages carry no wall time");
         // Component trees are grafted under synthetic anchor nodes
         // (zero calls themselves); their children carry the counts.
         for anchor in ["mem_hier", "branch_pred", "avf"] {
@@ -908,14 +879,10 @@ mod tests {
 
     #[test]
     fn traced_run_writes_chrome_export() {
-        let dir = std::env::temp_dir().join("smtsim_runner_trace_test");
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = scratch("smtsim_runner_trace_test");
         let ctx = ExperimentContext::new(ExperimentParams::fast()).with_trace_dir(&dir);
         let mix = workload_gen::mix_by_name("MIX-A").unwrap();
-        let out = run_scheme(&ctx, &mix, Scheme::VisaOpt2, FetchPolicyKind::Icount);
-        let stages = out.stage_seconds.expect("traced runs profile stages");
-        assert!(stages.total_s() > 0.0);
-        assert!(stages.profiled_cycles > 0);
+        run_scheme(&ctx, &mix, Scheme::VisaOpt2, FetchPolicyKind::Icount);
         let files: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
@@ -925,6 +892,20 @@ mod tests {
         let doc = serde::json::parse(&std::fs::read_to_string(&files[0]).unwrap()).unwrap();
         let events = doc.get("traceEvents").unwrap().as_array().unwrap();
         assert!(!events.is_empty());
+        // Tracing turns the profiler on: the flame chart carries the
+        // profiled cycles and the stage time under them. (Children are
+        // clipped to their parent's extent, so a late stage may drop
+        // out; the first one cannot.)
+        let calls = |name: &str| {
+            events
+                .iter()
+                .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
+                .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some(name))
+                .filter_map(|e| e.get("args")?.get("calls")?.as_u64())
+                .sum::<u64>()
+        };
+        assert!(calls("tick") > 0, "no profiled cycle in the flame chart");
+        assert!(calls("commit") > 0, "no stage time in the flame chart");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -450,7 +450,9 @@ mod tests {
     #[test]
     fn slugify_normalizes() {
         assert_eq!(slugify("VISA+opt1"), "visa-opt1");
+        assert_eq!(slugify("DVM (dynamic ratio)"), "dvm-dynamic-ratio");
         assert_eq!(slugify("CPU-A"), "cpu-a");
         assert_eq!(slugify(""), "x");
+        assert_eq!(slugify("***"), "x");
     }
 }

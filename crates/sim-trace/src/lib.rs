@@ -8,14 +8,12 @@
 //!
 //! * [`sinks::RingSink`] — bounded in-memory ring buffer with a
 //!   cloneable inspection handle, for tests and programmatic analysis;
-//! * [`sinks::JsonlSink`] — one JSON object per event, streamed to any
-//!   writer (typically a file), for offline processing;
 //! * [`chrome::ChromeTraceSink`] — Chrome trace-event JSON loadable in
 //!   Perfetto / `chrome://tracing`, mapping interval metrics to counter
 //!   tracks and governor/DVM decisions to instant events.
 //!
 //! The [`timing`] module provides the coarse wall-clock phase timers
-//! and the per-stage seconds used by run manifests.
+//! used by run manifests.
 
 pub mod chrome;
 pub mod events;
@@ -29,28 +27,10 @@ use std::sync::Arc;
 
 /// Receives trace events. Implementations decide retention and format.
 pub trait TraceSink {
-    /// Cheap pre-check; `emit` skips event construction when false.
-    fn enabled(&self) -> bool {
-        true
-    }
-
     fn record(&mut self, event: &TraceEvent);
 
     /// Push buffered output to its destination (file sinks).
     fn flush(&mut self) {}
-}
-
-/// Discards everything. Useful to measure tracing plumbing overhead
-/// separately from sink cost; `Tracer::off()` is cheaper still.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _event: &TraceEvent) {}
 }
 
 /// Cloneable handle the instrumented code emits through. The default
@@ -73,16 +53,12 @@ impl Tracer {
         self.0.is_some()
     }
 
-    /// Record one event. The closure runs only when a sink is attached
-    /// and enabled, so call sites may capture and format freely.
+    /// Record one event. The closure runs only when a sink is attached,
+    /// so call sites may capture and format freely.
     #[inline]
     pub fn emit(&self, build: impl FnOnce() -> TraceEvent) {
         if let Some(sink) = &self.0 {
-            let mut sink = sink.lock();
-            if sink.enabled() {
-                let event = build();
-                sink.record(&event);
-            }
+            sink.lock().record(&build());
         }
     }
 
@@ -121,22 +97,6 @@ mod tests {
         });
         assert!(!built);
         assert!(!tracer.is_on());
-    }
-
-    #[test]
-    fn disabled_sink_skips_event_construction() {
-        let tracer = Tracer::new(NullSink);
-        let mut built = false;
-        tracer.emit(|| {
-            built = true;
-            TraceEvent::L2Miss {
-                cycle: 0,
-                tid: 0,
-                addr: 0,
-            }
-        });
-        assert!(!built);
-        assert!(tracer.is_on());
     }
 
     #[test]

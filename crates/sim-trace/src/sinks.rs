@@ -1,11 +1,8 @@
-//! In-memory and line-oriented trace sinks.
+//! In-memory trace sink.
 
 use crate::{TraceEvent, TraceSink};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
 use std::sync::Arc;
 
 /// Bounded in-memory ring buffer: keeps the most recent `capacity`
@@ -98,54 +95,6 @@ impl RingHandle {
     }
 }
 
-/// Streams each event as one JSON object per line (JSON Lines).
-pub struct JsonlSink<W: Write> {
-    out: W,
-    errored: bool,
-}
-
-impl JsonlSink<BufWriter<File>> {
-    /// Create (truncate) a `.jsonl` file at `path`.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<JsonlSink<BufWriter<File>>> {
-        Ok(JsonlSink::new(BufWriter::new(File::create(path)?)))
-    }
-}
-
-impl<W: Write> JsonlSink<W> {
-    pub fn new(out: W) -> JsonlSink<W> {
-        JsonlSink {
-            out,
-            errored: false,
-        }
-    }
-}
-
-impl<W: Write> TraceSink for JsonlSink<W> {
-    fn enabled(&self) -> bool {
-        // After an I/O error, stop paying serialization cost.
-        !self.errored
-    }
-
-    fn record(&mut self, event: &TraceEvent) {
-        let line = serde::json::to_string(event);
-        if writeln!(self.out, "{line}").is_err() {
-            self.errored = true;
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.out.flush().is_err() {
-            self.errored = true;
-        }
-    }
-}
-
-impl<W: Write> Drop for JsonlSink<W> {
-    fn drop(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,27 +128,5 @@ mod tests {
         assert_eq!(handle.of_kind("l2_miss").len(), 1);
         assert_eq!(handle.of_kind("writeback").len(), 1);
         assert!(handle.of_kind("flush").is_empty());
-    }
-
-    #[test]
-    fn jsonl_writes_one_parseable_line_per_event() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.record(&miss(7));
-        sink.record(&TraceEvent::Issue {
-            cycle: 8,
-            count: 6,
-            ready_len: 14,
-        });
-        sink.flush();
-        let text = String::from_utf8(sink.out.clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            let back: TraceEvent = serde::json::from_str(line).unwrap();
-            assert!(matches!(
-                back,
-                TraceEvent::L2Miss { .. } | TraceEvent::Issue { .. }
-            ));
-        }
     }
 }

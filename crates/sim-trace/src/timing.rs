@@ -1,5 +1,5 @@
-//! Coarse wall-clock self-profiling: named phase timers and the
-//! per-stage seconds that run manifests carry.
+//! Coarse wall-clock self-profiling: the named phase timers that run
+//! manifests carry.
 
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -32,35 +32,6 @@ impl PhaseTimings {
     }
 }
 
-/// Wall-clock seconds spent in each pipeline stage over a profiled run,
-/// flattened from the sim-profile span tree for run manifests.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct StageSeconds {
-    pub commit_s: f64,
-    pub writeback_s: f64,
-    pub issue_s: f64,
-    pub dispatch_s: f64,
-    pub fetch_s: f64,
-    /// Simulated cycles the profile covers.
-    pub profiled_cycles: u64,
-}
-
-impl StageSeconds {
-    pub fn total_s(&self) -> f64 {
-        self.commit_s + self.writeback_s + self.issue_s + self.dispatch_s + self.fetch_s
-    }
-
-    /// Accumulate another run's stage totals into this one.
-    pub fn add(&mut self, other: &StageSeconds) {
-        self.commit_s += other.commit_s;
-        self.writeback_s += other.writeback_s;
-        self.issue_s += other.issue_s;
-        self.dispatch_s += other.dispatch_s;
-        self.fetch_s += other.fetch_s;
-        self.profiled_cycles += other.profiled_cycles;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,22 +59,5 @@ mod tests {
         };
         let back: PhaseTimings = serde::json::from_str(&serde::json::to_string(&timings)).unwrap();
         assert_eq!(back, timings);
-    }
-
-    #[test]
-    fn stage_seconds_accumulate_and_roundtrip() {
-        let mut sum = StageSeconds::default();
-        let one = StageSeconds {
-            commit_s: 0.25,
-            issue_s: 1.0,
-            profiled_cycles: 10,
-            ..StageSeconds::default()
-        };
-        sum.add(&one);
-        sum.add(&one);
-        assert!((sum.total_s() - 2.5).abs() < 1e-12);
-        assert_eq!(sum.profiled_cycles, 20);
-        let back: StageSeconds = serde::json::from_str(&serde::json::to_string(&sum)).unwrap();
-        assert_eq!(back, sum);
     }
 }

@@ -26,7 +26,7 @@
 //!   against a golden run; the empirical cross-check of the AVF model.
 //! * [`stats`] — interval statistics, histograms, IPC/harmonic-IPC/PVE.
 //! * [`trace`] — structured pipeline/governor tracing: pluggable sinks,
-//!   Chrome trace-event export, phase/stage wall-clock profiling.
+//!   Chrome trace-event export, phase wall-clock timers.
 //! * [`experiments`] — one runner per paper table/figure.
 //! * [`report`] — indexed run store, cross-run diff engine with
 //!   CI-aware significance gates, and self-contained HTML reliability

@@ -45,7 +45,6 @@ fn manifest(run_id: u64, salt: u64, scheme: &str, iq_avf: f64, measure_s: f64) -
             measure_s,
             collect_s: 0.05,
         },
-        stage_seconds: None,
         metrics: FinalMetrics {
             iq_avf,
             throughput_ipc: 3.1 - iq_avf,
