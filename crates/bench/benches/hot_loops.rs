@@ -3,9 +3,10 @@
 //! These are the costs that dominate experiment campaigns: pipeline
 //! stepping and `run` (which fast-forwards idle cycles) on CPU- vs
 //! MEM-bound mixes, the windowed ACE analysis alone and inside the AVF
-//! collector, the offline profiler, and the cache/predictor substrates.
+//! collector, the offline profiler, the cache/predictor substrates, and
+//! the checkpoint encode a journaled campaign pays at every snapshot.
 
-use bench::{cold_pipeline, tagged_mix};
+use bench::{cold_pipeline, tagged_mix, warmed_pipeline};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -201,6 +202,38 @@ fn substrates(c: &mut Criterion) {
     g.finish();
 }
 
+/// One mid-run checkpoint of a MEM-A DVM-dynamic machine (pipeline plus
+/// a 40 000-instruction ACE window), and the CRC-32 that covers it.
+fn checkpoint(c: &mut Criterion) {
+    use avf::AvfCollector;
+    use iq_reliability::Scheme;
+    use smt_sim::FetchPolicyKind;
+
+    let scheme = Scheme::DvmDynamic { target: 0.15 };
+    let mut p = warmed_pipeline(&tagged_mix("MEM-A"), scheme, FetchPolicyKind::Icount);
+    let mut col =
+        AvfCollector::standard(&smt_sim::MachineConfig::table2()).with_start_cycle(p.cycle());
+    for _ in 0..20_000 {
+        p.step(&mut col);
+    }
+    let bytes = experiments::encode_checkpoint(&p, &col).len();
+
+    let mut g = c.benchmark_group("checkpoint");
+    g.sample_size(20);
+    g.throughput(Throughput::Bytes(bytes as u64));
+    g.bench_function("encode_checkpoint/MEM-A_dvm", |b| {
+        b.iter(|| black_box(experiments::encode_checkpoint(&p, &col).len()))
+    });
+    let data: Vec<u8> = (0..4u32 << 20)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    g.throughput(Throughput::Bytes(data.len() as u64));
+    g.bench_function("crc32/4MB", |b| {
+        b.iter(|| black_box(sim_snapshot::crc32(black_box(&data))))
+    });
+    g.finish();
+}
+
 fn program_generation(c: &mut Criterion) {
     use workload_gen::{generate_program, model_by_name};
     let model = model_by_name("gcc").unwrap();
@@ -217,6 +250,7 @@ criterion_group!(
     avf_collector,
     offline_profiler,
     substrates,
+    checkpoint,
     program_generation
 );
 criterion_main!(benches);

@@ -3,8 +3,8 @@
 //! Three bench families:
 //! * `hot_loops` — the simulator's inner loops in isolation (pipeline
 //!   stepping, ACE analysis, the AVF collector, offline profiling, cache
-//!   and predictor microbenches) — the numbers that matter when scaling
-//!   runs up.
+//!   and predictor microbenches, the checkpoint encode and its CRC) —
+//!   the numbers that matter when scaling runs up.
 //! * `exhibits` — one regeneration harness per paper table/figure at a
 //!   micro measurement budget, so `cargo bench` exercises every
 //!   experiment path end to end.

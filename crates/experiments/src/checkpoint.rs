@@ -23,7 +23,7 @@ use std::cell::RefCell;
 use avf::AvfCollector;
 use sim_harness::{JobError, SnapshotStore};
 use sim_metrics::Metrics;
-use sim_snapshot::{read_container, write_container, SnapReader, SnapWriter};
+use sim_snapshot::{read_container, SnapReader, SnapWriter};
 use smt_sim::{HookAction, Pipeline, SimLimits, SimObserver, SimResult};
 
 /// Default simulated-cycle spacing between snapshots: one per sampling
@@ -44,18 +44,20 @@ pub const C_SELFCHECK_FAILED: &str = "harness.snapshots.selfcheck_failures";
 /// Serialize the full resumable state of a measured run. The result is
 /// a `sim-snapshot` container whose payload holds the pipeline's own
 /// (nested, independently checksummed) snapshot followed by the raw
-/// collector state, each length-prefixed.
+/// collector state, each length-prefixed. Everything is written in one
+/// pass into one buffer: the nested container and both length prefixes
+/// are filled in place.
 pub fn encode_checkpoint(pipeline: &Pipeline, collector: &AvfCollector) -> Vec<u8> {
-    let machine = pipeline.save_snapshot();
-    let mut cw = SnapWriter::new();
-    collector.save_state(&mut cw);
-    let cbytes = cw.into_bytes();
     let mut w = SnapWriter::new();
-    w.put_u64(machine.len() as u64);
-    w.put_bytes(&machine);
-    w.put_u64(cbytes.len() as u64);
-    w.put_bytes(&cbytes);
-    write_container(pipeline.config_hash(), pipeline.cycle(), &w.into_bytes())
+    let file = w.open_container(pipeline.config_hash(), pipeline.cycle());
+    let machine = w.open_len();
+    pipeline.save_snapshot_into(&mut w);
+    w.close_len(machine);
+    let state = w.open_len();
+    collector.save_state(&mut w);
+    w.close_len(state);
+    w.close_container(file);
+    w.into_bytes()
 }
 
 /// Restore a combined checkpoint onto a freshly constructed pipeline

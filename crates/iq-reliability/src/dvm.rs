@@ -407,7 +407,10 @@ impl DispatchGovernor for DvmController {
         }
     }
 
+    /// Starts a fresh profile: the pipeline re-sends this when warm-up
+    /// ends, so the spans cover the measured window only.
     fn set_profiling(&mut self, on: bool) {
+        self.prof.reset();
         self.prof.set_enabled(on);
     }
 

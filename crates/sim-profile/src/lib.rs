@@ -467,35 +467,47 @@ impl ProfileReport {
 
     /// Lay the aggregate tree out as synthetic Chrome complete-events
     /// starting at `base_us` (so they sit after the simulated timeline
-    /// in a merged `--trace` document): siblings run sequentially,
-    /// children nest inside (and are clamped to) their parent's span.
+    /// in a merged `--trace` document): siblings run sequentially and
+    /// children nest inside their parent's span. Sampled totals can make
+    /// a parent's children add up to more than the parent; they are then
+    /// scaled down in proportion, so every child keeps its share.
     pub fn chrome_spans(&self, base_us: u64) -> Vec<ChromeSpan> {
+        let us = |n: &ProfileNode| n.total_ns / 1_000;
+        let mut children_us = vec![0u64; self.nodes.len()];
+        for n in &self.nodes {
+            if let Some(p) = n.parent {
+                children_us[p] += us(n);
+            }
+        }
         let mut start = vec![0u64; self.nodes.len()];
         let mut end = vec![0u64; self.nodes.len()];
         let mut depth = vec![0u32; self.nodes.len()];
+        // Where each span's next child starts.
+        let mut cursor = vec![0u64; self.nodes.len()];
         let mut cursor_root = base_us;
         let mut out = Vec::new();
         for (i, n) in self.nodes.iter().enumerate() {
-            let dur = n.total_ns / 1_000;
-            let (s, lim, d) = match n.parent {
+            let (s, dur, d) = match n.parent {
                 None => {
                     let s = cursor_root;
-                    cursor_root = s + dur;
-                    (s, u64::MAX, 0)
+                    cursor_root = s + us(n);
+                    (s, us(n), 0)
                 }
                 Some(p) => {
-                    let s = start[p]
-                        + self.nodes[..i]
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, m)| m.parent == Some(p))
-                            .map(|(j, _)| end[j] - start[j])
-                            .sum::<u64>();
-                    (s, end[p], depth[p] + 1)
+                    let room = end[p] - start[p];
+                    let dur = if children_us[p] > room {
+                        (us(n) as u128 * room as u128 / children_us[p] as u128) as u64
+                    } else {
+                        us(n)
+                    };
+                    let s = cursor[p];
+                    cursor[p] = s + dur;
+                    (s, dur, depth[p] + 1)
                 }
             };
-            start[i] = s.min(lim);
-            end[i] = (s + dur).min(lim);
+            start[i] = s;
+            end[i] = s + dur;
+            cursor[i] = s;
             depth[i] = d;
             if n.calls > 0 && end[i] > start[i] {
                 out.push(ChromeSpan {
@@ -775,5 +787,39 @@ mod tests {
         assert!(issue.start_us >= tick.start_us);
         assert!(issue.start_us + issue.dur_us <= tick.start_us + tick.dur_us);
         assert!(select.start_us + select.dur_us <= issue.start_us + issue.dur_us);
+    }
+
+    #[test]
+    fn chrome_spans_scale_overflowing_children_into_the_parent() {
+        let node = |name: &str, parent, us: u64| ProfileNode {
+            name: name.into(),
+            parent,
+            calls: 1,
+            sampled: 1,
+            total_ns: us * 1_000,
+            self_ns: 0,
+        };
+        // Three 6 µs children under a 10 µs parent.
+        let r = ProfileReport {
+            batch: 1,
+            nodes: vec![
+                node("tick", None, 10),
+                node("commit", Some(0), 6),
+                node("issue", Some(0), 6),
+                node("fetch", Some(0), 6),
+            ],
+        };
+        let spans = r.chrome_spans(0);
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["tick", "commit", "issue", "fetch"]);
+        let tick = &spans[0];
+        let mut at = tick.start_us;
+        for child in &spans[1..] {
+            assert!(child.dur_us > 0, "{} vanished", child.name);
+            assert_eq!(child.depth, 1);
+            assert!(child.start_us >= at, "{} out of order", child.name);
+            at = child.start_us + child.dur_us;
+        }
+        assert!(at <= tick.start_us + tick.dur_us, "children overflow tick");
     }
 }

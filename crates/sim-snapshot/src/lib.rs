@@ -12,7 +12,9 @@
 //!   `String`; simulator crates implement it for their own state.
 //! * A **snapshot container** ([`write_container`] /
 //!   [`read_container`]): magic, schema version, config-hash binding,
-//!   cycle stamp, and a CRC32 over everything after the magic. A snapshot
+//!   cycle stamp, and a CRC32 over everything after the magic.
+//!   [`SnapWriter::open_container`] writes one in place, so containers
+//!   nest inside a payload without copying its bytes. A snapshot
 //!   with any flipped bit fails the CRC and is rejected with a typed
 //!   [`SnapError`]; a snapshot from a different machine/workload
 //!   configuration fails the config-hash binding. Restores never
@@ -130,6 +132,58 @@ impl SnapWriter {
     pub fn put<T: Snap>(&mut self, v: &T) {
         v.save(self);
     }
+
+    /// Open a `u64` length prefix: write a placeholder that
+    /// [`Self::close_len`] patches with the byte count written after it.
+    pub fn open_len(&mut self) -> LenMark {
+        let at = self.buf.len();
+        self.put_u64(0);
+        LenMark(at)
+    }
+
+    /// Patch the prefix `mark` opened with the bytes written since.
+    pub fn close_len(&mut self, mark: LenMark) {
+        let from = mark.0 + 8;
+        let len = (self.buf.len() - from) as u64;
+        self.buf[mark.0..from].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// Open a snapshot container in place: everything written until
+    /// [`Self::close_container`] is its payload. Containers nest, so a
+    /// payload can hold other containers without copying them.
+    pub fn open_container(&mut self, config_hash: u64, cycle: u64) -> ContainerMark {
+        self.put_bytes(&SNAPSHOT_MAGIC);
+        let body = self.buf.len();
+        self.put_u32(SNAPSHOT_SCHEMA_VERSION);
+        self.put_u64(config_hash);
+        self.put_u64(cycle);
+        ContainerMark {
+            body,
+            payload: self.open_len(),
+        }
+    }
+
+    /// Close the container `mark` opened: patch its payload length and
+    /// append the CRC of its body.
+    pub fn close_container(&mut self, mark: ContainerMark) {
+        self.close_len(mark.payload);
+        let crc = crc32(&self.buf[mark.body..]);
+        self.put_u32(crc);
+    }
+}
+
+/// A length prefix opened by [`SnapWriter::open_len`].
+#[must_use = "close the length prefix with `SnapWriter::close_len`"]
+#[derive(Debug)]
+pub struct LenMark(usize);
+
+/// A container opened by [`SnapWriter::open_container`].
+#[must_use = "close the container with `SnapWriter::close_container`"]
+#[derive(Debug)]
+pub struct ContainerMark {
+    /// Offset of the schema field, where the CRC's coverage starts.
+    body: usize,
+    payload: LenMark,
 }
 
 /// Positional reader over a snapshot payload. Every read is
@@ -383,11 +437,13 @@ impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE 802.3, reflected) — the checksum every snapshot container
-// carries. Table-driven; the table is built at compile time.
+// carries. Slice-by-16: table `k` advances the CRC of one byte through
+// `k` further zero bytes, so 16 lookups fold 16 input bytes at once.
+// The tables are built at compile time.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -400,19 +456,50 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 16] = crc32_tables();
 
 /// CRC32 (IEEE) of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut blocks = data.chunks_exact(16);
+    for b in &mut blocks {
+        let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(lo & 0xFF) as usize]
+            ^ t[14][((lo >> 8) & 0xFF) as usize]
+            ^ t[13][((lo >> 16) & 0xFF) as usize]
+            ^ t[12][(lo >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -432,19 +519,14 @@ pub struct SnapshotHeader {
 }
 
 /// Wrap a serialized payload in the checksummed container format.
+/// Writers that serialize straight into the container use
+/// [`SnapWriter::open_container`] instead.
 pub fn write_container(config_hash: u64, cycle: u64, payload: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(28 + payload.len());
-    body.extend_from_slice(&SNAPSHOT_SCHEMA_VERSION.to_le_bytes());
-    body.extend_from_slice(&config_hash.to_le_bytes());
-    body.extend_from_slice(&cycle.to_le_bytes());
-    body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    body.extend_from_slice(payload);
-    let crc = crc32(&body);
-    let mut out = Vec::with_capacity(8 + body.len() + 4);
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    let mut w = SnapWriter::new();
+    let c = w.open_container(config_hash, cycle);
+    w.put_bytes(payload);
+    w.close_container(c);
+    w.into_bytes()
 }
 
 /// Validate and unwrap a snapshot container. The CRC is checked
@@ -503,31 +585,6 @@ pub fn read_container(
         },
         payload,
     ))
-}
-
-/// Read just the cycle stamp of a valid container (used to order
-/// snapshot files without decoding payloads). Fails on any corruption,
-/// exactly like [`read_container`], but does not check the config hash.
-pub fn peek_cycle(data: &[u8]) -> Result<u64, SnapError> {
-    if data.len() < 8 || data[..8] != SNAPSHOT_MAGIC {
-        return Err(SnapError::BadMagic);
-    }
-    if data.len() < 8 + 28 + 4 {
-        return Err(SnapError::Eof);
-    }
-    let body = &data[8..data.len() - 4];
-    let stored_crc = u32::from_le_bytes(data[data.len() - 4..].try_into().unwrap());
-    let computed = crc32(body);
-    if stored_crc != computed {
-        return Err(SnapError::ChecksumMismatch {
-            found: stored_crc,
-            expected: computed,
-        });
-    }
-    let mut r = SnapReader::new(body);
-    let _schema = r.get_u32()?;
-    let _config_hash = r.get_u64()?;
-    r.get_u64()
 }
 
 #[cfg(test)]
@@ -611,11 +668,78 @@ mod tests {
         assert!(matches!(r.get::<Option<u32>>(), Err(SnapError::Corrupt(_))));
     }
 
+    /// The one-byte-per-step CRC the sliced one must equal.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_known_vector() {
         // The classic check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_oracle() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let data: Vec<u8> = (0..16 + 256)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect();
+        for start in 0..16 {
+            for len in 0..=256 {
+                let slice = &data[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "start {start}, length {len}"
+                );
+            }
+        }
+    }
+
+    /// A checkpoint-shaped file written in place: an outer container
+    /// holding a length-prefixed inner container and length-prefixed
+    /// trailing bytes. Also returns the inner container's byte range.
+    fn nested_in_place() -> (Vec<u8>, std::ops::Range<usize>) {
+        let mut w = SnapWriter::new();
+        let outer = w.open_container(7, 30_000);
+        let len = w.open_len();
+        let from = w.len();
+        let inner = w.open_container(9, 20_000);
+        w.put_bytes(b"machine");
+        w.close_container(inner);
+        let to = w.len();
+        w.close_len(len);
+        let len = w.open_len();
+        w.put_bytes(b"collector");
+        w.close_len(len);
+        w.close_container(outer);
+        (w.into_bytes(), from..to)
+    }
+
+    #[test]
+    fn nested_in_place_equals_composed_containers() {
+        let inner = write_container(9, 20_000, b"machine");
+        let mut payload = SnapWriter::new();
+        payload.put_u64(inner.len() as u64);
+        payload.put_bytes(&inner);
+        payload.put_u64(b"collector".len() as u64);
+        payload.put_bytes(b"collector");
+        let composed = write_container(7, 30_000, &payload.into_bytes());
+        let (file, range) = nested_in_place();
+        assert_eq!(file, composed);
+        assert_eq!(file[range], inner[..]);
     }
 
     #[test]
@@ -626,7 +750,6 @@ mod tests {
         assert_eq!(hdr.schema, SNAPSHOT_SCHEMA_VERSION);
         assert_eq!(hdr.cycle, 40_000);
         assert_eq!(body, payload);
-        assert_eq!(peek_cycle(&file).unwrap(), 40_000);
     }
 
     #[test]
@@ -640,6 +763,38 @@ mod tests {
                     read_container(&bad, 42).is_err(),
                     "flip at byte {byte} bit {bit} was silently accepted"
                 );
+            }
+        }
+
+        // Nested: the outer CRC rejects a flip in the outer header, the
+        // inner container or the trailing bytes. With the outer CRC
+        // recomputed over a flip inside the inner container, the inner
+        // CRC still rejects it.
+        let (file, inner) = nested_in_place();
+        let crc_at = file.len() - 4;
+        // The outer payload starts after the magic and a 28-byte header.
+        let in_payload = inner.start - 36..inner.end - 36;
+        let read_inner = |f: &[u8]| {
+            let (_, payload) = read_container(f, 7).unwrap();
+            read_container(&payload[in_payload.clone()], 9).map(|(_, p)| p.to_vec())
+        };
+        assert_eq!(read_inner(&file).unwrap(), b"machine");
+        for byte in 0..file.len() {
+            for bit in 0..8 {
+                let mut bad = file.clone();
+                bad[byte] ^= 1 << bit;
+                assert!(
+                    read_container(&bad, 7).is_err(),
+                    "nested flip at byte {byte} bit {bit} was silently accepted"
+                );
+                if inner.contains(&byte) {
+                    let crc = crc32(&bad[8..crc_at]);
+                    bad[crc_at..].copy_from_slice(&crc.to_le_bytes());
+                    assert!(
+                        read_inner(&bad).is_err(),
+                        "inner flip at byte {byte} bit {bit} passed the inner CRC"
+                    );
+                }
             }
         }
     }
@@ -689,6 +844,5 @@ mod tests {
         let mut file = write_container(1, 0, b"x");
         file[0] = b'X';
         assert_eq!(read_container(&file, 1).unwrap_err(), SnapError::BadMagic);
-        assert_eq!(peek_cycle(&file).unwrap_err(), SnapError::BadMagic);
     }
 }

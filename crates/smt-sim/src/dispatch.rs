@@ -139,8 +139,9 @@ pub trait DispatchGovernor {
     fn set_metrics(&mut self, _metrics: sim_metrics::Metrics) {}
 
     /// Enable/disable the governor's own wall-time self-profiling. The
-    /// pipeline forwards [`set_stage_profiling`] here; stateless
-    /// governors ignore it.
+    /// pipeline forwards [`set_stage_profiling`] here, and calls it again
+    /// when warm-up ends: a governor that keeps a profile discards what
+    /// it accumulated. Stateless governors ignore it.
     ///
     /// [`set_stage_profiling`]: crate::pipeline::Pipeline::set_stage_profiling
     fn set_profiling(&mut self, _on: bool) {}

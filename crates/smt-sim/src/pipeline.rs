@@ -539,10 +539,13 @@ impl Pipeline {
         // accumulation so exported series cover the measured window only
         // (gauges persist — they are the governors' live state).
         self.metrics.reset_accumulated();
-        // Profiles likewise cover the measured window only.
+        // Profiles likewise cover the measured window only. The
+        // governor seam has no reset: re-sending the profiling switch
+        // starts the governor's profile afresh.
         self.prof.reset();
         self.mem.reset_profile();
         self.bpred.reset_profile();
+        self.policies.governor.set_profiling(self.prof.is_enabled());
         self.iv_wall = Instant::now();
         self.last_commit_cycle = self.now;
         self.thread_last_commit.fill(self.now);

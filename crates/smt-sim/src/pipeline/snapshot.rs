@@ -23,9 +23,7 @@ use crate::config::SimLimits;
 use crate::events::SimObserver;
 use crate::layout;
 use crate::types::{InstId, InstStage};
-use sim_snapshot::{
-    read_container, write_container, SnapError, SnapReader, SnapWriter, SnapshotHeader,
-};
+use sim_snapshot::{read_container, SnapError, SnapReader, SnapWriter, SnapshotHeader};
 use std::cmp::Reverse;
 
 /// Decision returned by a [`Pipeline::run_hooked`] interval hook.
@@ -199,8 +197,16 @@ impl Pipeline {
     /// version, configuration binding, CRC).
     pub fn save_snapshot(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        self.save_state(&mut w);
-        write_container(self.config_hash(), self.now, &w.into_bytes())
+        self.save_snapshot_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// Append the [`Pipeline::save_snapshot`] container to `w`,
+    /// serializing the machine straight into it.
+    pub fn save_snapshot_into(&self, w: &mut SnapWriter) {
+        let c = w.open_container(self.config_hash(), self.now);
+        self.save_state(w);
+        w.close_container(c);
     }
 
     /// Restore from a container produced by [`Pipeline::save_snapshot`].

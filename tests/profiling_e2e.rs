@@ -1,14 +1,14 @@
 //! End-to-end profiler coverage from outside the crates: a profiled
 //! run exports the promised artifacts (JSON report, collapsed stacks,
 //! hot-spot table), the per-stage attribution accounts for the
-//! measured tick wall-time, and profiling never perturbs the
-//! simulation itself.
+//! measured tick wall-time, component profiles cover the measured
+//! window only, and profiling never perturbs the simulation itself.
 
 use smtsim::experiments::context::{ExperimentContext, ExperimentParams};
 use smtsim::experiments::runner::run_scheme;
 use smtsim::profile::ProfileReport;
 use smtsim::reliability::Scheme;
-use smtsim::sim::FetchPolicyKind;
+use smtsim::sim::{FetchPolicyKind, MachineConfig, NullObserver, Pipeline, SimLimits};
 use smtsim::workloads::mix_by_name;
 use std::fs;
 use std::path::PathBuf;
@@ -175,4 +175,28 @@ fn profiling_does_not_perturb_the_simulation() {
         report.span_total_s("issue") > 0.0,
         "stage breakdown missing"
     );
+}
+
+#[test]
+fn governor_profile_covers_the_measured_window_only() {
+    let machine = MachineConfig::table2();
+    let (policies, _) =
+        Scheme::DvmDynamic { target: 0.05 }.policies(FetchPolicyKind::Icount, machine.iq_size);
+    let programs = mix_by_name("MEM-A").unwrap().programs();
+    let mut p = Pipeline::new(machine, programs, policies);
+    p.set_stage_profiling(true);
+    p.warm_up(5_000);
+    // DVM's spans; an all-zero governor profile is not merged at all.
+    let calls = |p: &Pipeline, name: &str| -> u64 {
+        let report = p.profile_report();
+        report
+            .nodes
+            .iter()
+            .find(|n| n.name == name)
+            .map_or(0, |n| n.calls)
+    };
+    assert_eq!(calls(&p, "sample"), 0, "warm-up samples counted");
+    assert_eq!(calls(&p, "decide"), 0, "warm-up decisions counted");
+    p.run(SimLimits::cycles(10_000), &mut NullObserver);
+    assert!(calls(&p, "decide") > 0, "governor profiling stopped");
 }
