@@ -123,7 +123,7 @@ impl Snap for Accum {
 #[derive(Debug, Clone, Default)]
 pub struct AvfReport {
     pub cycles: u64,
-    /// Whole-run AVF per structure, each in [0,1].
+    /// Whole-run AVF per structure, each in `[0, 1]`.
     pub iq_avf: f64,
     pub rob_avf: f64,
     pub rf_avf: f64,

@@ -361,7 +361,7 @@ fn register_runs(vfs: &Arc<dyn Vfs>, store_root: &Path, outcome: &CampaignOutcom
 fn pass_exit<R>(result: &Result<CampaignOutcome<R>, JobError>) -> i32 {
     match result {
         Ok(outcome) => outcome.exit_code(),
-        Err(_) => 3,
+        Err(_) => crate::EXIT_FATAL,
     }
 }
 
@@ -679,7 +679,7 @@ pub fn cmd_chaos(args: &ChaosArgs) -> i32 {
             "chaos: cannot create scratch directory {}",
             scratch.display()
         );
-        return 3;
+        return crate::EXIT_FATAL;
     }
     let report = run_chaos(args.seed, args.rounds, &scratch);
 
@@ -705,7 +705,7 @@ pub fn cmd_chaos(args: &ChaosArgs) -> i32 {
         let json = serde::json::to_string_pretty(&report);
         if let Err(e) = atomic_write(out, &(json + "\n")) {
             eprintln!("chaos: writing report {}: {e}", out.display());
-            return 3;
+            return crate::EXIT_FATAL;
         }
         eprintln!("chaos: report written to {}", out.display());
     }
@@ -718,7 +718,7 @@ pub fn cmd_chaos(args: &ChaosArgs) -> i32 {
             "chaos: scratch kept for inspection at {}",
             scratch.display()
         );
-        return 3;
+        return crate::EXIT_FATAL;
     }
     let _ = std::fs::remove_dir_all(&scratch);
     0

@@ -45,6 +45,13 @@ pub mod table1;
 pub mod table2;
 pub mod table3;
 
+/// CLI exit code of a bad flag, value, exhibit, selector or store path; nothing ran.
+pub const EXIT_USAGE: i32 = 1;
+/// CLI exit code of a campaign that finished but quarantined a job.
+pub const EXIT_PARTIAL: i32 = 2;
+/// CLI exit code of an I/O failure, a failed gate or diff, or a chaos violation.
+pub const EXIT_FATAL: i32 = 3;
+
 pub use bench::{BenchBaseline, BENCH_SCHEMA_VERSION};
 pub use chaos::{
     cmd_chaos, run_chaos, ChaosArgs, ChaosReport, ChaosTotals, RoundReport, CHAOS_SCHEMA_VERSION,

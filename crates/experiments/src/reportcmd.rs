@@ -11,11 +11,13 @@
 //! left behind.
 //!
 //! Exit codes follow the CLI contract: `0` success (diff found no
-//! significant drift), `1` usage (bad selectors), `3` fatal (I/O,
+//! significant drift), `1` usage (bad selectors, or no store at the
+//! given path: reading never creates one), `3` fatal (I/O,
 //! unknown schema version anywhere, or a significant diff).
 
 use crate::faultinject::{FaultInjectReport, FAULT_SCHEMA_VERSION};
 use crate::manifest::{RunManifest, MANIFEST_SCHEMA_VERSION};
+use crate::{EXIT_FATAL, EXIT_USAGE};
 use sim_harness::fnv1a;
 use sim_profile::ProfileReport;
 use sim_report::store::slugify;
@@ -24,11 +26,6 @@ use sim_report::{
     ReportError, ReportInput, RunRecord, RunStore, Selector,
 };
 use std::path::{Path, PathBuf};
-
-/// Usage error (mirrors the main CLI's code).
-const EXIT_USAGE: i32 = 1;
-/// I/O failure, unknown schema version, or significant drift.
-const EXIT_FATAL: i32 = 3;
 
 /// Where a registration pass should probe for per-run artifact files
 /// (the exporters' output directories, when enabled for the run).
@@ -381,6 +378,12 @@ fn assemble_input(
 
 /// The `experiments report` driver. Returns the process exit code.
 pub fn cmd_report(args: &ReportArgs) -> i32 {
+    // Opening creates a store; reading must not, or a mistyped path
+    // would list an empty store and exit 0.
+    if !args.store.join(RunStore::INDEX_FILE).exists() {
+        eprintln!("report: no run store at {}", args.store.display());
+        return EXIT_USAGE;
+    }
     let store = match RunStore::open(&args.store) {
         Ok(s) => s,
         Err(e) => return fatal(&e),
@@ -664,6 +667,27 @@ mod tests {
         };
         assert_eq!(cmd_report(&args), EXIT_USAGE);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn cmd_report_without_a_store_is_a_usage_error_and_creates_nothing() {
+        let dir = tmp("nostore");
+        for args in [
+            ReportArgs {
+                store: dir.clone(),
+                list: true,
+                ..ReportArgs::default()
+            },
+            ReportArgs {
+                store: dir.clone(),
+                diff: true,
+                selectors: vec!["onlyone".to_string()],
+                ..ReportArgs::default()
+            },
+        ] {
+            assert_eq!(cmd_report(&args), EXIT_USAGE);
+            assert!(!dir.exists(), "report created {}", dir.display());
+        }
     }
 
     #[test]

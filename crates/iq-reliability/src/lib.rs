@@ -5,19 +5,19 @@
 //! Simultaneous Multithreaded Architectures"* (ICPP 2008), implemented as
 //! plug-in policies for the `smt-sim` pipeline seams:
 //!
-//! * [`VisaIssue`](visa::VisaIssue) — **V**ulnerable-**I**n**S**truction-
+//! * [`VisaIssue`] — **V**ulnerable-**I**n**S**truction-
 //!   **A**ware issue (Section 2.1): ready instructions whose decoded
 //!   ACE-ness hint is set bypass all ready un-ACE instructions; within
 //!   each class, program order. Cuts the residency of ACE bits in the IQ.
-//! * [`DynamicIqAllocator`](opt1::DynamicIqAllocator) — **opt1**
+//! * [`DynamicIqAllocator`] — **opt1**
 //!   (Figure 3): each 10 K-cycle interval sets an IQ allocation cap from
 //!   the previous interval's IPC band and ready-queue length, preventing
 //!   excess vulnerable bits from entering the IQ.
-//! * [`L2MissSensitiveAllocator`](opt2::L2MissSensitiveAllocator) —
+//! * [`L2MissSensitiveAllocator`] —
 //!   **opt2** (Figure 4): opt1 while L2 misses stay below `Tcache_miss`;
 //!   above it, escalate to the FLUSH fetch policy so clogged threads are
 //!   rolled back instead of capped.
-//! * [`DvmController`](dvm::DvmController) — **DVM** (Section 5): an
+//! * [`DvmController`] — **DVM** (Section 5): an
 //!   online ACE-bit counter estimates the interval IQ AVF; crossing 90 %
 //!   of the reliability target (or any L2 miss) turns on a dispatch
 //!   throttle keyed to an adaptive waiting/ready ratio (`wq_ratio`,

@@ -27,7 +27,7 @@ use smt_sim::{DispatchGovernor, GovernorView, IntervalSnapshot};
 /// (cap_num, cap_den))` expressing `IQL = min(RQL + IQ*margin, IQ*cap)`.
 type Region = (f64, (u64, u64), (u64, u64));
 
-/// One row per IPC region (see [`Region`]).
+/// One row per IPC region: its IPC upper bound, margin and cap.
 #[derive(Debug, Clone)]
 pub struct IplRegionTable {
     rows: Vec<Region>,

@@ -1,7 +1,7 @@
 //! Translation lookaside buffers.
 //!
 //! A TLB is a set-associative cache over virtual page numbers; this module
-//! wraps [`Cache`](crate::Cache) with page-granular indexing. Table 2:
+//! wraps [`Cache`] with page-granular indexing. Table 2:
 //! ITLB 128 entries 4-way, DTLB 256 entries 4-way, 200-cycle miss penalty
 //! (a page walk to memory).
 

@@ -320,7 +320,7 @@ impl Journal {
     /// Append a mid-run checkpoint marker for `key`. The payload is
     /// campaign-defined — typically the snapshot cycle plus enough
     /// metadata to locate the snapshot file — and is returned by
-    /// [`lookup_checkpoint`] on resume until a `done` record lands.
+    /// [`Self::lookup_checkpoint`] on resume until a `done` record lands.
     pub fn record_checkpoint<R: Serialize>(
         &mut self,
         key: &JobKey,

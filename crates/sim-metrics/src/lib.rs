@@ -8,7 +8,7 @@
 //! vulnerability — so the simulator needs a numeric substrate that can
 //! be sampled every interval without perturbing the run.
 //!
-//! The design mirrors [`sim_trace::Tracer`]: instrumented code holds a
+//! The design mirrors `sim_trace::Tracer`: instrumented code holds a
 //! cheap cloneable [`Metrics`] handle. When no registry is attached
 //! (the default, [`Metrics::off`]) every call is one `Option` test and
 //! the value expression is never evaluated — metrics cost nothing

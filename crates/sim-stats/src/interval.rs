@@ -50,7 +50,7 @@ impl IntervalSeries {
     }
 
     /// Percentage of vulnerability emergencies: the fraction of intervals
-    /// in which the sample exceeds `threshold`. Returns a value in [0,1].
+    /// in which the sample exceeds `threshold`. Returns a value in `[0, 1]`.
     pub fn pve(&self, threshold: f64) -> f64 {
         if self.samples.is_empty() {
             return 0.0;

@@ -21,11 +21,11 @@
 //!
 //! The three *policy seams* the paper's mechanisms plug into:
 //!
-//! * [`FetchPolicy`](fetch::FetchPolicy) — ICOUNT (default), STALL,
+//! * [`FetchPolicy`] — ICOUNT (default), STALL,
 //!   FLUSH, DG and PDG are built in;
-//! * [`IssuePolicy`](issue::IssuePolicy) — baseline oldest-first; the
+//! * [`IssuePolicy`] — baseline oldest-first; the
 //!   `iq-reliability` crate provides VISA;
-//! * [`DispatchGovernor`](dispatch::DispatchGovernor) — baseline
+//! * [`DispatchGovernor`] — baseline
 //!   unlimited; `iq-reliability` provides opt1, opt2 and DVM.
 //!
 //! Vulnerability accounting attaches through [`events::SimObserver`]:

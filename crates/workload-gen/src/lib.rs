@@ -17,7 +17,7 @@
 //!   locations whose dynamic instances *disagree* about ACE-ness (→ the
 //!   false positives of PC-granularity profiling measured in Table 1).
 //!
-//! From a model, [`generate_program`](program::generate_program) emits a
+//! From a model, [`generate_program`] emits a
 //! deterministic synthetic [`Program`] (basic blocks, loop nests, call/
 //! return pairs, dead-code chains, loop-carried accumulators and
 //! overwrite-style "mixed ACE-ness" registers). A [`ThreadEngine`] then
