@@ -11,27 +11,9 @@
 
 use crate::ace::{AceAnalyzer, AceInstRecord, Finalized};
 use crate::layout;
-use sim_profile::{ProfileReport, SpanDef, SpanId, SpanSet};
 use sim_snapshot::{Snap, SnapError, SnapReader, SnapWriter};
 use sim_stats::IntervalSeries;
 use smt_sim::{MachineConfig, RetireEvent, SimObserver};
-
-/// The collector's own span table: per-commit ACE analysis and the
-/// end-of-run drain, both roots (the pipeline grafts them outside its
-/// tick subtree — observer callbacks run from commit, which the tick
-/// spans already cover).
-const SPANS: &[SpanDef] = &[
-    SpanDef {
-        name: "observe",
-        parent: None,
-    },
-    SpanDef {
-        name: "finalize",
-        parent: None,
-    },
-];
-const SPAN_OBSERVE: SpanId = 0;
-const SPAN_FINALIZE: SpanId = 1;
 
 /// Residency timing carried through the analyzer as payload, plus
 /// whether the instruction is a memory op. A cycle field holds
@@ -158,9 +140,6 @@ pub struct AvfCollector {
     /// Cycle offset where measurement starts (post-warmup); all
     /// timestamps are rebased against it.
     start_cycle: u64,
-    /// Wall-time attribution for the ACE analysis. Host-side only:
-    /// never serialized, never consulted by the analysis.
-    prof: SpanSet,
 }
 
 impl AvfCollector {
@@ -175,18 +154,7 @@ impl AvfCollector {
             config: config.clone(),
             final_cycle: 0,
             start_cycle: 0,
-            prof: SpanSet::new(SPANS),
         }
-    }
-
-    /// Enable or disable wall-time attribution of the ACE analysis.
-    pub fn set_profiling(&mut self, on: bool) {
-        self.prof.set_enabled(on);
-    }
-
-    /// Freeze the accumulated analysis profile.
-    pub fn profile_report(&self) -> ProfileReport {
-        self.prof.report()
     }
 
     /// Rebase all timestamps to `start_cycle` (the value returned by
@@ -355,7 +323,6 @@ impl AvfCollector {
 
 impl SimObserver for AvfCollector {
     fn on_commit(&mut self, ev: &RetireEvent) {
-        let tok = self.prof.enter(SPAN_OBSERVE);
         let rb = |c: u64| c.saturating_sub(self.start_cycle);
         let inst = &ev.inst;
         let retire = rb(ev.retire_cycle);
@@ -378,7 +345,6 @@ impl SimObserver for AvfCollector {
         self.analyzer.push(rec, timing, &mut |f| {
             Self::finalize_into(accum, interval, f)
         });
-        self.prof.exit(tok);
     }
 
     fn on_squash(&mut self, _ev: &RetireEvent) {
@@ -387,13 +353,11 @@ impl SimObserver for AvfCollector {
     }
 
     fn on_finish(&mut self, final_cycle: u64) {
-        let tok = self.prof.enter(SPAN_FINALIZE);
         self.final_cycle = final_cycle.saturating_sub(self.start_cycle);
         let accum = &mut self.accum;
         let interval = self.interval_cycles;
         self.analyzer
             .drain(&mut |f| Self::finalize_into(accum, interval, f));
-        self.prof.exit(tok);
     }
 }
 
@@ -608,29 +572,6 @@ mod tests {
             cfg.num_threads as f64 * cfg.lsq_size as f64 * layout::LSQ_ENTRY_BITS as f64;
         let lsq_bits = layout::LSQ_ACE_BITS as f64;
         assert_eq!(rep.lsq_avf, 30.0 * lsq_bits / (1_000.0 * lsq_total));
-    }
-
-    #[test]
-    fn profiling_counts_observer_callbacks() {
-        let cfg = small_config();
-        let mut c = AvfCollector::new(&cfg, 100, 1_000);
-        c.set_profiling(true);
-        for k in 0..8u64 {
-            c.on_commit(&commit_ev(
-                0,
-                OpClass::IAlu,
-                Some(Reg::int(1)),
-                [None, None],
-                k,
-                k + 10,
-                k + 12,
-            ));
-        }
-        c.on_finish(1_000);
-        let rep = c.profile_report();
-        assert_eq!(rep.nodes[0].name, "observe");
-        assert_eq!(rep.nodes[0].calls, 8);
-        assert_eq!(rep.nodes[1].calls, 1);
     }
 
     #[test]

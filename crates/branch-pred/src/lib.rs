@@ -19,23 +19,6 @@ pub use gshare::Gshare;
 pub use ras::Ras;
 
 use micro_isa::{BranchKind, Pc, ThreadId};
-use sim_profile::{ProfileReport, SpanDef, SpanId, SpanSet};
-
-/// The predictor's own span table: lookup and training are both roots,
-/// so the pipeline can graft this report outside its tick subtree
-/// without double-counting (tick already contains the call sites).
-const SPANS: &[SpanDef] = &[
-    SpanDef {
-        name: "predict",
-        parent: None,
-    },
-    SpanDef {
-        name: "resolve",
-        parent: None,
-    },
-];
-const SPAN_PREDICT: SpanId = 0;
-const SPAN_RESOLVE: SpanId = 1;
 
 /// A complete front-end prediction for one control instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,9 +34,6 @@ pub struct BranchPredictor {
     gshare: Vec<Gshare>,
     ras: Vec<Ras>,
     btb: Btb,
-    /// Wall-time attribution for predict/resolve. Host-side only:
-    /// never serialized, never consulted by the simulation.
-    prof: SpanSet,
 }
 
 impl BranchPredictor {
@@ -65,27 +45,11 @@ impl BranchPredictor {
             gshare: (0..num_threads).map(|_| Gshare::new(10)).collect(),
             ras: (0..num_threads).map(|_| Ras::new(32)).collect(),
             btb: Btb::new(2048, 4),
-            prof: SpanSet::new(SPANS),
         }
     }
 
     pub fn num_threads(&self) -> usize {
         self.gshare.len()
-    }
-
-    /// Enable or disable wall-time attribution of predict/resolve.
-    pub fn set_profiling(&mut self, on: bool) {
-        self.prof.set_enabled(on);
-    }
-
-    /// Freeze the accumulated predictor profile.
-    pub fn profile_report(&self) -> ProfileReport {
-        self.prof.report()
-    }
-
-    /// Discard accumulated profile time (keeps the on/off setting).
-    pub fn reset_profile(&mut self) {
-        self.prof.reset();
     }
 
     /// Predict a control instruction at fetch. `fallthrough` is `pc + 1`.
@@ -106,9 +70,8 @@ impl BranchPredictor {
         kind: BranchKind,
         fallthrough: Pc,
     ) -> Prediction {
-        let tok = self.prof.enter(SPAN_PREDICT);
         let t = tid as usize;
-        let p = match kind {
+        match kind {
             BranchKind::Cond => {
                 let taken = self.gshare[t].predict(pc);
                 self.gshare[t].push_speculative(taken);
@@ -133,9 +96,7 @@ impl BranchPredictor {
                 taken: true,
                 next_pc: self.ras[t].pop().unwrap_or(fallthrough),
             },
-        };
-        self.prof.exit(tok);
-        p
+        }
     }
 
     /// Resolve a control instruction at execute: train the tables with the
@@ -152,7 +113,6 @@ impl BranchPredictor {
         target: Pc,
         fetch_history: Option<u32>,
     ) {
-        let tok = self.prof.enter(SPAN_RESOLVE);
         let t = tid as usize;
         if kind == BranchKind::Cond {
             match fetch_history {
@@ -163,7 +123,6 @@ impl BranchPredictor {
         if taken && kind != BranchKind::Ret {
             self.btb.install(pc, target);
         }
-        self.prof.exit(tok);
     }
 
     /// Squash recovery for one thread: restore the gshare history to the
@@ -309,23 +268,6 @@ mod tests {
         let h1 = bp.history_checkpoint(1);
         bp.predict(0, 5, BranchKind::Cond, 6);
         assert_eq!(bp.history_checkpoint(1), h1);
-    }
-
-    #[test]
-    fn profiling_counts_predicts_and_resolves() {
-        let mut bp = BranchPredictor::table2(1);
-        bp.predict(0, 1, BranchKind::Cond, 2); // off by default
-        bp.set_profiling(true);
-        for k in 0..32u64 {
-            bp.predict(0, k, BranchKind::Cond, k + 1);
-            bp.resolve(0, k, BranchKind::Cond, true, k + 7, None);
-        }
-        let rep = bp.profile_report();
-        assert_eq!(rep.nodes[0].name, "predict");
-        assert_eq!(rep.nodes[0].calls, 32);
-        assert_eq!(rep.nodes[1].calls, 32);
-        bp.reset_profile();
-        assert_eq!(bp.profile_report().nodes[1].calls, 0);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod table3;
 /// CLI exit code of a bad flag, value, exhibit, selector or store path; nothing ran.
 pub const EXIT_USAGE: i32 = 1;
 /// CLI exit code of a campaign that finished but quarantined a job.
-pub const EXIT_PARTIAL: i32 = 2;
+pub use sim_harness::signal::EXIT_PARTIAL;
 /// CLI exit code of an I/O failure, a failed gate or diff, or a chaos violation.
 pub const EXIT_FATAL: i32 = 3;
 

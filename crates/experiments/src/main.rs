@@ -125,9 +125,10 @@
 use experiments::context::{ExperimentContext, ExperimentParams};
 use experiments::manifest::CampaignManifest;
 use experiments::{bench, exhibits, faultinject, ArtifactDirs};
-use experiments::{EXIT_FATAL, EXIT_PARTIAL, EXIT_USAGE};
+use experiments::{EXIT_FATAL, EXIT_USAGE};
 use sim_harness::{HarnessConfig, HarnessObservers, HarnessStats, QuarantineEntry};
 use sim_report::RunStore;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -386,10 +387,16 @@ fn usage() -> String {
     text.replacen("       ", "usage: ", 1)
 }
 
+/// Write `text` to stderr in one write whose failure is ignored:
+/// `eprint!` panics when stderr is a closed pipe, which would turn a
+/// usage error's exit 1 into a panic's 101.
+fn print_stderr(text: &str) {
+    let _ = std::io::stderr().write_all(text.as_bytes());
+}
+
 /// Print `msg` and usage, then exit with [`EXIT_USAGE`].
 fn usage_error(msg: &str) -> ! {
-    eprintln!("{msg}");
-    eprint!("{}", usage());
+    print_stderr(&format!("{msg}\n{}", usage()));
     std::process::exit(EXIT_USAGE)
 }
 
@@ -505,11 +512,13 @@ fn run_exhibits(cli: &Cli) -> Result<i32, String> {
     let wanted = match select_exhibits(&cli.positionals) {
         Ok(wanted) => wanted,
         Err(unknown) => {
-            for e in unknown {
-                eprintln!("unknown exhibit: {e}");
-            }
+            let mut msg: String = unknown
+                .iter()
+                .map(|e| format!("unknown exhibit: {e}\n"))
+                .collect();
             let names: Vec<&str> = exhibits::EXHIBITS.iter().map(|e| e.name).collect();
-            eprintln!("known exhibits: {} all", names.join(" "));
+            msg += &format!("known exhibits: {} all\n", names.join(" "));
+            print_stderr(&msg);
             return Ok(EXIT_USAGE);
         }
     };
@@ -682,13 +691,7 @@ fn finish_campaign(
             eprintln!("experiments: harness metrics export failed: {e}");
         }
     }
-    let exit_code = if interrupted {
-        sim_harness::signal::EXIT_INTERRUPTED
-    } else if !quarantined.is_empty() {
-        EXIT_PARTIAL
-    } else {
-        0
-    };
+    let exit_code = sim_harness::signal::campaign_exit_code(interrupted, quarantined.len());
     if let Some(dir) = &resume_dir {
         let manifest = CampaignManifest {
             schema_version: experiments::manifest::MANIFEST_SCHEMA_VERSION,

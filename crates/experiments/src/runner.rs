@@ -178,11 +178,9 @@ fn build_machine(
     if let Some(counter) = ctx.progress_counter() {
         pipeline.set_progress_counter(counter);
     }
-    let mut collector = AvfCollector::new(&ctx.machine, ctx.params.ace_window, 10_000);
-    collector.set_profiling(ctx.profile_dir().is_some());
     Machine {
         pipeline,
-        collector,
+        collector: AvfCollector::new(&ctx.machine, ctx.params.ace_window, 10_000),
         dvm,
     }
 }
@@ -291,9 +289,7 @@ fn simulate(
         }
     };
     let avf = PhaseTimings::time(&mut timings.collect_s, || m.collector.report());
-    let mut profile = m.pipeline.profile_report();
-    profile.merge(&m.collector.profile_report(), "avf");
-    export_profile(ctx, &tracer, &profile, &base);
+    export_profile(ctx, &tracer, &m.pipeline.profile_report(), &base);
     tracer.flush();
     let sim_metrics = export_metrics(ctx, m.pipeline.metrics(), &base);
 
@@ -801,8 +797,7 @@ mod tests {
         assert_eq!(names.len(), 2, "{names:?}");
         assert!(names[0].ends_with(".collapsed"));
         assert!(names[1].ends_with(".profile.json"));
-        // The JSON report round-trips and carries the merged span tree:
-        // pipeline stages plus the grafted component anchors.
+        // The JSON report round-trips and carries the span tree.
         let report: ProfileReport =
             serde::json::from_str(&std::fs::read_to_string(dir.join(&names[1])).unwrap()).unwrap();
         for name in ["tick", "wakeup"] {
@@ -823,22 +818,24 @@ mod tests {
         }
         let stage_s: f64 = stages.iter().map(|s| report.span_total_s(s)).sum();
         assert!(stage_s > 0.0, "stages carry no wall time");
-        // Component trees are grafted under synthetic anchor nodes
-        // (zero calls themselves); their children carry the counts.
-        for anchor in ["mem_hier", "branch_pred", "avf"] {
-            let idx = report
-                .nodes
-                .iter()
-                .position(|n| n.name == anchor)
-                .unwrap_or_else(|| panic!("anchor {anchor} missing from exported report"));
-            assert!(
-                report
-                    .nodes
-                    .iter()
-                    .any(|n| n.parent == Some(idx) && n.calls > 0),
-                "anchor {anchor} has no active child spans"
-            );
-        }
+        // The collector's work is in the same tree: one `observe` per
+        // commit under `commit`, and its end-of-run drain in the root
+        // `finish`, timed although it is entered once.
+        let node = |name: &str| report.nodes.iter().find(|n| n.name == name).unwrap();
+        assert_eq!(calls("observe"), out.stats.total_committed());
+        assert_eq!(report.nodes[node("observe").parent.unwrap()].name, "commit");
+        assert_eq!((node("finish").calls, node("finish").sampled), (1, 1));
+        assert!(node("finish").total_ns > 0, "finish reports no time");
+        let roots: Vec<&str> = report
+            .nodes
+            .iter()
+            .filter(|n| n.parent.is_none())
+            .map(|n| n.name.as_str())
+            .collect();
+        assert_eq!(
+            roots,
+            ["tick", "snapshot", "selfcheck", "fast_forward", "finish"]
+        );
         // The collapsed-stack file parses and names tick-rooted stacks.
         let collapsed = std::fs::read_to_string(dir.join(&names[0])).unwrap();
         let rows = ProfileReport::parse_collapsed(&collapsed).unwrap();

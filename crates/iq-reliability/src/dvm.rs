@@ -30,9 +30,9 @@ use sim_trace::{GovernorEvent, TraceEvent, Tracer};
 use smt_sim::{DispatchGovernor, GovernorView, IntervalSnapshot};
 use std::sync::Arc;
 
-/// Controller span table: all roots — the pipeline grafts them under a
-/// governor-name anchor outside its `tick` subtree (the governor call
-/// sites are already timed by the pipeline's own `governor` span).
+/// Controller span table: all roots — the pipeline grafts them under
+/// its own `tick;dispatch;governor` span, which times the calls they
+/// run in.
 const SPANS: &[SpanDef] = &[
     SpanDef {
         name: "sample",
@@ -789,7 +789,8 @@ mod tests {
         let node = |n: &str| report.nodes.iter().find(|x| x.name == n).unwrap();
         assert_eq!(node("sample").calls, 1);
         assert_eq!(node("decide").calls, 2);
-        // Both spans are roots: the pipeline anchors them itself.
+        // Both spans are roots: the pipeline grafts them under its
+        // governor span.
         assert!(report.nodes.iter().all(|n| n.parent.is_none()));
     }
 

@@ -8,23 +8,6 @@
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::tlb::Tlb;
 use micro_isa::ThreadId;
-use sim_profile::{ProfileReport, SpanDef, SpanId, SpanSet};
-
-/// The hierarchy's own span table: both access paths are roots, so the
-/// pipeline can graft this report outside its tick subtree without
-/// double-counting (tick already contains the call sites).
-const SPANS: &[SpanDef] = &[
-    SpanDef {
-        name: "access_data",
-        parent: None,
-    },
-    SpanDef {
-        name: "access_inst",
-        parent: None,
-    },
-];
-const SPAN_ACCESS_DATA: SpanId = 0;
-const SPAN_ACCESS_INST: SpanId = 1;
 
 /// Configuration of the whole hierarchy (defaults = paper Table 2).
 #[derive(Debug, Clone, Copy)]
@@ -112,9 +95,6 @@ pub struct MemoryHierarchy {
     l2: Cache,
     itlb: Tlb,
     dtlb: Tlb,
-    /// Wall-time attribution for the access paths. Host-side only:
-    /// never serialized, never consulted by the simulation.
-    prof: SpanSet,
 }
 
 impl MemoryHierarchy {
@@ -134,23 +114,7 @@ impl MemoryHierarchy {
                 config.tlb_miss_latency,
             ),
             config,
-            prof: SpanSet::new(SPANS),
         }
-    }
-
-    /// Enable or disable wall-time attribution of the access paths.
-    pub fn set_profiling(&mut self, on: bool) {
-        self.prof.set_enabled(on);
-    }
-
-    /// Freeze the accumulated access-path profile.
-    pub fn profile_report(&self) -> ProfileReport {
-        self.prof.report()
-    }
-
-    /// Discard accumulated profile time (keeps the on/off setting).
-    pub fn reset_profile(&mut self) {
-        self.prof.reset();
     }
 
     /// The paper's Table 2 hierarchy.
@@ -180,13 +144,6 @@ impl MemoryHierarchy {
     /// and conflict-miss far beyond what the combined working set
     /// justifies.
     pub fn access_data(&mut self, tid: ThreadId, addr: u64) -> AccessResult {
-        let tok = self.prof.enter(SPAN_ACCESS_DATA);
-        let r = self.access_data_inner(tid, addr);
-        self.prof.exit(tok);
-        r
-    }
-
-    fn access_data_inner(&mut self, tid: ThreadId, addr: u64) -> AccessResult {
         let stagger = tid as u64 * 0x6_4d90;
         let a = Self::thread_addr(tid, addr.wrapping_add(stagger));
         let mut latency = self.dtlb.translate(a);
@@ -219,13 +176,6 @@ impl MemoryHierarchy {
     /// An instruction fetch from thread `tid` at word PC `pc` (converted
     /// to a byte address internally).
     pub fn access_inst(&mut self, tid: ThreadId, pc: u64) -> AccessResult {
-        let tok = self.prof.enter(SPAN_ACCESS_INST);
-        let r = self.access_inst_inner(tid, pc);
-        self.prof.exit(tok);
-        r
-    }
-
-    fn access_inst_inner(&mut self, tid: ThreadId, pc: u64) -> AccessResult {
         // 4 bytes per instruction word; keep instruction and data spaces
         // disjoint with a dedicated high bit. Each thread's code segment
         // is staggered by a non-power-of-two offset so that the entry
@@ -410,23 +360,6 @@ mod tests {
             }
         }
         assert_eq!(misses_late, 0);
-    }
-
-    #[test]
-    fn profiling_counts_every_access_and_resets() {
-        let mut h = MemoryHierarchy::table2();
-        h.access_data(0, 0); // off by default: nothing counted
-        h.set_profiling(true);
-        for i in 0..64u64 {
-            h.access_data(0, i * 64);
-            h.access_inst(0, i);
-        }
-        let rep = h.profile_report();
-        assert_eq!(rep.nodes[0].name, "access_data");
-        assert_eq!(rep.nodes[0].calls, 64);
-        assert_eq!(rep.nodes[1].calls, 64);
-        h.reset_profile();
-        assert_eq!(h.profile_report().nodes[0].calls, 0);
     }
 
     #[test]

@@ -26,6 +26,22 @@ pub const SIGTERM: i32 = 15;
 /// Exit status conventionally reported for death-by-interrupt.
 pub const EXIT_INTERRUPTED: i32 = 130;
 
+/// Exit status of a campaign that finished but quarantined a job.
+pub const EXIT_PARTIAL: i32 = 2;
+
+/// The campaign exit-code contract: [`EXIT_INTERRUPTED`] when the
+/// campaign was interrupted, else [`EXIT_PARTIAL`] when it quarantined
+/// a job, else 0.
+pub fn campaign_exit_code(interrupted: bool, quarantined: usize) -> i32 {
+    if interrupted {
+        EXIT_INTERRUPTED
+    } else if quarantined > 0 {
+        EXIT_PARTIAL
+    } else {
+        0
+    }
+}
+
 static INTERRUPTED: AtomicBool = AtomicBool::new(false);
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 

@@ -177,16 +177,10 @@ impl<R> CampaignOutcome<R> {
         !self.interrupted && self.quarantine.is_empty() && self.stats.skipped == 0
     }
 
-    /// Process exit status under the campaign exit-code contract:
-    /// 0 = complete, 2 = partial (quarantined jobs), 130 = interrupted.
+    /// Process exit status under the campaign exit-code contract
+    /// ([`signal::campaign_exit_code`]).
     pub fn exit_code(&self) -> i32 {
-        if self.interrupted {
-            signal::EXIT_INTERRUPTED
-        } else if !self.quarantine.is_empty() {
-            2
-        } else {
-            0
-        }
+        signal::campaign_exit_code(self.interrupted, self.quarantine.len())
     }
 }
 
@@ -870,7 +864,7 @@ mod tests {
             |_, _: &u64| {},
         );
         assert!(!out.interrupted);
-        assert_eq!(out.exit_code(), 2, "partial completion");
+        assert_eq!(out.exit_code(), signal::EXIT_PARTIAL, "partial completion");
         assert_eq!(out.quarantine.len(), 1);
         assert_eq!(out.quarantine[0].key, key(1));
         assert!(matches!(

@@ -23,14 +23,33 @@
 //!
 //! When disabled (the default), `enter` is one branch returning an
 //! inert token and `exit` is one branch — no `Instant`, no allocation.
-//! When enabled, every entry pays two increments, but only every
-//! *N*-th entry per site (the **batch**, default [`DEFAULT_BATCH`])
-//! reads the clock; totals are estimated as
-//! `sampled_nanos × calls / sampled`. At the default batch a profiled
+//! When enabled, every entry pays two increments. A span's first *N*
+//! entries (the **batch**, default [`DEFAULT_BATCH`]) all read the
+//! clock, so a rarely entered span is timed exactly; after them only
+//! every *N*-th entry does, and the total is estimated from the sampled
+//! entries (see [Estimates](#estimates)). At the default batch a profiled
 //! release-mode tick carries roughly one `Instant` pair per cycle
 //! spread over a dozen sites — well under the 5 % budget that an
 //! every-entry stage timer (two clock reads per stage per cycle, ~10 %)
 //! blows.
+//!
+//! # Clock calibration
+//!
+//! A sampled entry also times its own pair of clock reads. Switching a
+//! set on measures that cost once (the median of a few hundred empty
+//! `Instant` pairs) and every sampled entry subtracts it, saturating at
+//! zero, so a span that does nothing reports a few ns per call and a
+//! parent's children do not add up to more than the parent.
+//!
+//! # Estimates
+//!
+//! A span whose every entry was timed reports the exact sum. Otherwise
+//! its sampled entries are dealt round-robin into eight blocks and the
+//! total is the median block mean × entries (a median-of-means
+//! estimate). Each sampled entry stands for about *N* entries, so one
+//! entry stretched by something outside the program — a preemption or
+//! a paused virtual CPU — would add *N* times its length to a plain
+//! mean; it can move at most one block mean, and the median ignores it.
 //!
 //! # Exports
 //!
@@ -59,6 +78,23 @@ pub struct SpanDef {
 /// `DEFAULT_BATCH` entries per site.
 pub const DEFAULT_BATCH: u32 = 32;
 
+/// Blocks of the median-of-means estimate: up to three blocks holding
+/// a stretched entry leave the median unmoved.
+const BLOCKS: usize = 8;
+
+/// Empty `Instant` pairs timed to calibrate the clock-read cost.
+const CALIBRATION_PAIRS: usize = 255;
+
+/// Median wall-nanos of an empty `Instant` pair: what a sampled entry
+/// measures when its body does nothing.
+fn clock_pair_ns() -> u64 {
+    let mut ns: Vec<u64> = (0..CALIBRATION_PAIRS)
+        .map(|_| Instant::now().elapsed().as_nanos() as u64)
+        .collect();
+    ns.sort_unstable();
+    ns[CALIBRATION_PAIRS / 2]
+}
+
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot {
     /// Exact number of calls: one per [`SpanSet::enter`], plus the batch
@@ -69,10 +105,34 @@ struct Slot {
     entries: u64,
     /// Entries that actually read the clock.
     sampled: u64,
-    /// Wall-nanos accumulated over the sampled entries.
-    nanos: u64,
-    /// Entries remaining until the next clock read.
+    /// Wall-nanos of the sampled entries, less the calibrated clock
+    /// cost of each; the k-th sampled entry lands in block
+    /// `(k - 1) % BLOCKS`.
+    nanos: [u64; BLOCKS],
+    /// Entries remaining until the next clock read, once the first
+    /// `batch` entries have all been timed.
     countdown: u32,
+}
+
+impl Slot {
+    /// Estimated wall-nanos over all entries (see the crate docs'
+    /// Estimates section).
+    fn total_ns(&self) -> u64 {
+        if self.sampled == self.entries {
+            return self.nanos.iter().sum();
+        }
+        let blocks = BLOCKS as u64;
+        let mut means: Vec<f64> = (0..blocks)
+            .filter_map(|i| {
+                let n = self.sampled / blocks + u64::from(i < self.sampled % blocks);
+                (n > 0).then(|| self.nanos[i as usize] as f64 / n as f64)
+            })
+            .collect();
+        // Not empty: a span's first entry is always timed.
+        means.sort_by(f64::total_cmp);
+        let median = (means[(means.len() - 1) / 2] + means[means.len() / 2]) / 2.0;
+        (median * self.entries as f64) as u64
+    }
 }
 
 /// Accumulated wall-time over one static span table. Cheap to embed:
@@ -83,6 +143,9 @@ pub struct SpanSet {
     defs: &'static [SpanDef],
     enabled: bool,
     batch: u32,
+    /// Calibrated cost of one empty `Instant` pair, measured when the
+    /// set is switched on and subtracted from every sampled entry.
+    clock_ns: u64,
     slots: Vec<Slot>,
 }
 
@@ -107,6 +170,7 @@ impl SpanSet {
             defs,
             enabled: false,
             batch: DEFAULT_BATCH,
+            clock_ns: 0,
             slots: vec![Slot::default(); defs.len()],
         }
     }
@@ -121,15 +185,21 @@ impl SpanSet {
         self.batch
     }
 
-    /// Enable or disable accumulation. Enabling staggers the per-site
-    /// countdowns so sites with the same period do not all read the
-    /// clock on the same entry.
+    /// Enable or disable accumulation. Switching on calibrates the
+    /// clock-read cost and staggers the per-site countdowns, so sites
+    /// with the same period do not all read the clock on the same
+    /// entry once their first `batch` entries are timed.
     pub fn set_enabled(&mut self, enabled: bool) {
+        if enabled && !self.enabled {
+            self.clock_ns = clock_pair_ns();
+        }
         self.enabled = enabled;
-        if enabled {
-            for (i, slot) in self.slots.iter_mut().enumerate() {
-                slot.countdown = (i as u32).wrapping_mul(7) % self.batch;
-            }
+        self.stagger();
+    }
+
+    fn stagger(&mut self) {
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            slot.countdown = (i as u32).wrapping_mul(7) % self.batch;
         }
     }
 
@@ -139,19 +209,17 @@ impl SpanSet {
     }
 
     /// Discard everything accumulated so far (counts and time), keeping
-    /// the enabled/batch configuration. The pipeline calls this when
-    /// warmup ends so the profile covers only the measured window.
+    /// the enabled/batch configuration and the clock calibration. The
+    /// pipeline calls this when warmup ends so the profile covers only
+    /// the measured window.
     pub fn reset(&mut self) {
-        let enabled = self.enabled;
         self.slots.iter_mut().for_each(|s| *s = Slot::default());
-        // Re-stagger countdowns as on enable.
-        if enabled {
-            self.set_enabled(true);
-        }
+        self.stagger();
     }
 
     /// Enter span `id`. One branch when disabled; when enabled, counts
-    /// the entry and reads the clock on every `batch`-th entry.
+    /// the entry and reads the clock on each of the span's first
+    /// `batch` entries, then on every `batch`-th.
     #[inline]
     pub fn enter(&mut self, id: SpanId) -> SpanToken {
         self.enter_charging(id, 1)
@@ -173,25 +241,29 @@ impl SpanSet {
         let slot = &mut self.slots[id];
         slot.calls += calls;
         slot.entries += 1;
-        if slot.countdown == 0 {
-            slot.countdown = self.batch - 1;
-            slot.sampled += 1;
-            SpanToken {
-                id,
-                start: Some(Instant::now()),
+        if slot.entries > u64::from(self.batch) {
+            if slot.countdown > 0 {
+                slot.countdown -= 1;
+                return SpanToken { id, start: None };
             }
-        } else {
-            slot.countdown -= 1;
-            SpanToken { id, start: None }
+            slot.countdown = self.batch - 1;
+        }
+        slot.sampled += 1;
+        SpanToken {
+            id,
+            start: Some(Instant::now()),
         }
     }
 
-    /// Close the span `tok` opened. Charges elapsed time only for
-    /// sampled entries.
+    /// Close the span `tok` opened. Charges elapsed time, less the
+    /// calibrated clock cost, only for sampled entries.
     #[inline]
     pub fn exit(&mut self, tok: SpanToken) {
         if let Some(start) = tok.start {
-            self.slots[tok.id].nanos += start.elapsed().as_nanos() as u64;
+            let ns = start.elapsed().as_nanos() as u64;
+            let slot = &mut self.slots[tok.id];
+            slot.nanos[slot.sampled.wrapping_sub(1) as usize % BLOCKS] +=
+                ns.saturating_sub(self.clock_ns);
         }
     }
 
@@ -211,22 +283,12 @@ impl SpanSet {
         self.slots[id].calls
     }
 
-    /// Freeze a serializable report. Totals are the sampled nanos
-    /// scaled by `entries / sampled` (equal to `calls / sampled` except
-    /// for batch spans); self time subtracts the children's estimated
-    /// totals.
+    /// Freeze a serializable report. Totals are exact for spans whose
+    /// every entry was timed, else the median-of-means estimate over
+    /// `entries` (equal to `calls` except for batch spans); self time
+    /// subtracts the children's estimated totals.
     pub fn report(&self) -> ProfileReport {
-        let totals: Vec<u64> = self
-            .slots
-            .iter()
-            .map(|s| {
-                if s.sampled == 0 {
-                    0
-                } else {
-                    ((s.nanos as u128 * s.entries as u128) / s.sampled as u128) as u64
-                }
-            })
-            .collect();
+        let totals: Vec<u64> = self.slots.iter().map(Slot::total_ns).collect();
         let mut child_sum = vec![0u64; self.defs.len()];
         for (i, d) in self.defs.iter().enumerate() {
             if let Some(p) = d.parent {
@@ -353,43 +415,25 @@ impl ProfileReport {
         sum as f64 / 1e9
     }
 
-    /// Graft another report's tree under a (possibly new) root node
-    /// named `under` — used to fold component profiles (mem hierarchy,
-    /// branch predictor, AVF collector, governors) into one document.
-    pub fn merge(&mut self, child: &ProfileReport, under: &str) {
-        if child.nodes.iter().all(|n| n.calls == 0) {
-            return;
-        }
-        let anchor = match self.nodes.iter().position(|n| n.name == under) {
-            Some(i) => i,
-            None => {
-                self.nodes.push(ProfileNode {
-                    name: under.to_string(),
-                    parent: None,
-                    calls: 0,
-                    sampled: 0,
-                    total_ns: 0,
-                    self_ns: 0,
-                });
-                self.nodes.len() - 1
-            }
-        };
+    /// Graft another report's tree under the existing node `under`, the
+    /// span that makes the calls `child` times (the pipeline grafts a
+    /// governor's own profile under `tick;dispatch;governor`). Each of
+    /// `child`'s roots becomes a child of `under`, whose self time
+    /// becomes its total minus all its children's totals.
+    pub fn graft(&mut self, child: &ProfileReport, under: usize) {
         let base = self.nodes.len();
-        let mut grafted_total = 0u64;
-        for n in &child.nodes {
-            let mut n = n.clone();
-            n.parent = match n.parent {
-                Some(p) => Some(base + p),
-                None => {
-                    grafted_total += n.total_ns;
-                    Some(anchor)
-                }
-            };
-            self.nodes.push(n);
-        }
-        let a = &mut self.nodes[anchor];
-        a.total_ns = a.total_ns.max(grafted_total);
-        a.self_ns = a.total_ns.saturating_sub(grafted_total).min(a.self_ns);
+        self.nodes.extend(child.nodes.iter().map(|n| ProfileNode {
+            parent: Some(n.parent.map_or(under, |p| base + p)),
+            ..n.clone()
+        }));
+        let children: u64 = self
+            .nodes
+            .iter()
+            .filter(|n| n.parent == Some(under))
+            .map(|n| n.total_ns)
+            .sum();
+        let node = &mut self.nodes[under];
+        node.self_ns = node.total_ns.saturating_sub(children);
     }
 
     /// Collapsed-stack text: one `path;to;span self_ns` line per node
@@ -566,14 +610,77 @@ mod tests {
         let mut s = SpanSet::new(T);
         s.set_batch(8);
         s.set_enabled(true);
-        for _ in 0..64 {
-            let t = s.enter(2);
+        let mut enter = |n: usize| {
+            for _ in 0..n {
+                let t = s.enter(2);
+                s.exit(t);
+            }
+            s.report().nodes[2].sampled
+        };
+        // The first `batch` entries are all timed, then one in `batch`.
+        assert_eq!(enter(8), 8);
+        assert_eq!(enter(56), 8 + 7);
+        assert_eq!(s.calls(2), 64);
+    }
+
+    #[test]
+    fn rarely_entered_spans_time_every_entry() {
+        let mut s = SpanSet::new(T);
+        s.set_enabled(true);
+        for _ in 0..5 {
+            let t = s.enter(3);
+            std::thread::sleep(Duration::from_millis(1));
             s.exit(t);
         }
-        assert_eq!(s.calls(2), 64);
-        let r = s.report();
-        assert_eq!(r.nodes[2].calls, 64);
-        assert_eq!(r.nodes[2].sampled, 8);
+        let n = &s.report().nodes[3];
+        assert_eq!((n.sampled, n.calls), (5, 5));
+        assert!(n.total_ns >= 5_000_000, "{}", n.total_ns);
+    }
+
+    #[test]
+    fn one_stretched_entry_is_not_extrapolated() {
+        let mut s = SpanSet::new(T);
+        s.set_batch(4);
+        s.set_enabled(true);
+        for i in 0..400 {
+            let t = s.enter(1);
+            // The last census entry stands in for a paused CPU.
+            if i == 3 {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            s.exit(t);
+        }
+        let n = &s.report().nodes[1];
+        assert_eq!(n.sampled, 4 + 99);
+        // A plain mean would charge the pause ×400/103, over 77 ms.
+        assert!(n.total_ns < 20_000_000, "{}", n.total_ns);
+    }
+
+    #[test]
+    fn an_empty_span_costs_less_than_the_clock_read_it_subtracts() {
+        let mut s = SpanSet::new(T);
+        s.set_batch(1);
+        s.set_enabled(true);
+        let clock = s.clock_ns;
+        // The least of a few trials, so a preempted trial cannot fail
+        // the test.
+        let per_call = (0..5)
+            .map(|_| {
+                s.reset();
+                for _ in 0..1_000 {
+                    let t = s.enter(0);
+                    s.exit(t);
+                }
+                let n = &s.report().nodes[0];
+                n.total_ns as f64 / n.calls as f64
+            })
+            .fold(f64::INFINITY, f64::min);
+        assert!(
+            per_call < clock as f64,
+            "{per_call} ns per call, clock {clock} ns"
+        );
+        // Calibration survives a reset.
+        assert_eq!(s.clock_ns, clock);
     }
 
     #[test]
@@ -589,8 +696,9 @@ mod tests {
         let r = s.report();
         let n = &r.nodes[0];
         assert_eq!(n.calls, 10);
-        assert_eq!(n.sampled, 5);
-        // 5 sampled sleeps of ≥1ms, scaled ×2: at least ~10ms total.
+        // The first 2 entries, then one in 2 of the other 8.
+        assert_eq!(n.sampled, 6);
+        // 6 sampled sleeps of ≥1ms, scaled ×10/6: at least ~10ms total.
         assert!(n.total_ns >= 9_000_000, "{}", n.total_ns);
     }
 
@@ -607,8 +715,8 @@ mod tests {
         let r = s.report();
         let n = &r.nodes[0];
         assert_eq!(n.calls, 157, "calls are the summed batch sizes");
-        assert_eq!(n.sampled, 2);
-        // 2 sampled sleeps of ≥1ms scaled ×2 (4 entries), not ×78.
+        assert_eq!(n.sampled, 3);
+        // 3 sampled sleeps of ≥1ms scaled ×4/3 (4 entries), not ×157/3.
         assert!(n.total_ns >= 3_000_000, "{}", n.total_ns);
         assert!(n.total_ns < 100_000_000, "{}", n.total_ns);
         // Disabled: nothing is charged.
@@ -749,29 +857,33 @@ mod tests {
     }
 
     #[test]
-    fn merge_grafts_component_roots_under_anchor() {
+    fn graft_nests_a_report_under_an_existing_node() {
         let mut r = sample_report();
-        let mem = ProfileReport {
-            batch: 32,
-            nodes: vec![ProfileNode {
-                name: "l2".into(),
-                parent: None,
-                calls: 50,
-                sampled: 2,
-                total_ns: 900,
-                self_ns: 900,
-            }],
+        let node = |name: &str, parent, total_ns| ProfileNode {
+            name: name.into(),
+            parent,
+            calls: 50,
+            sampled: 2,
+            total_ns,
+            self_ns: total_ns,
         };
-        r.merge(&mem, "mem_hier");
-        let anchor = r.nodes.iter().position(|n| n.name == "mem_hier").unwrap();
-        let l2 = r.nodes.iter().position(|n| n.name == "l2").unwrap();
-        assert_eq!(r.nodes[l2].parent, Some(anchor));
-        assert_eq!(r.nodes[anchor].total_ns, 900);
-        assert!(r.to_collapsed().contains("mem_hier;l2 900\n"));
-        // An all-zero component report merges to nothing.
-        let before = r.nodes.len();
-        r.merge(&ProfileReport::default(), "empty");
-        assert_eq!(r.nodes.len(), before);
+        let governor = ProfileReport {
+            batch: 32,
+            nodes: vec![node("sample", None, 900), node("decide", None, 1_100)],
+        };
+        // `select` (5 000 ns) makes the grafted calls.
+        r.graft(&governor, 2);
+        assert_eq!(r.nodes.len(), 5);
+        assert_eq!(r.nodes.iter().filter(|n| n.parent.is_none()).count(), 1);
+        assert_eq!((r.nodes[3].parent, r.nodes[4].parent), (Some(2), Some(2)));
+        assert_eq!(r.nodes[2].total_ns, 5_000);
+        assert_eq!(r.nodes[2].self_ns, 3_000);
+        assert!(r.to_collapsed().contains("tick;issue;select;decide 1100\n"));
+        // Children that outgrow their parent leave it no self time.
+        r.graft(&governor, 2);
+        assert_eq!(r.nodes[2].self_ns, 1_000);
+        r.graft(&governor, 2);
+        assert_eq!(r.nodes[2].self_ns, 0);
     }
 
     #[test]

@@ -147,8 +147,8 @@ pub trait DispatchGovernor {
     fn set_profiling(&mut self, _on: bool) {}
 
     /// The governor's own wall-time profile, if it keeps one — the
-    /// pipeline grafts it into its merged report under the governor's
-    /// name.
+    /// pipeline grafts it into its report under `tick;dispatch;governor`,
+    /// the span that times the governor's calls.
     fn profile_report(&self) -> Option<sim_profile::ProfileReport> {
         None
     }

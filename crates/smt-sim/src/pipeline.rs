@@ -71,90 +71,79 @@ use wakeup::WakeupState;
 pub const DEFAULT_INTERVAL_CYCLES: u64 = 10_000;
 
 /// Static wall-time span table for the hot loop ([`sim_profile`]
-/// indexing: parents strictly precede children). The ids are public so
-/// external drivers — the checkpoint harness times its
-/// interval-boundary snapshot/selfcheck work against the same set via
-/// [`Pipeline::prof_mut`] — stay in one coherent tree.
+/// indexing: parents strictly precede children). Calls into the memory
+/// hierarchy, the branch predictor and the observer are timed here, at
+/// the call site, under the stage that makes them, so one tree covers
+/// the run. The ids are public so external drivers — the checkpoint
+/// harness times its interval-boundary snapshot/selfcheck work against
+/// the same set via [`Pipeline::prof_mut`] — stay in that tree.
 pub mod spans {
     use sim_profile::{SpanDef, SpanId};
 
     pub const TICK: SpanId = 0;
     pub const COMMIT: SpanId = 1;
-    pub const WRITEBACK: SpanId = 2;
-    pub const ISSUE: SpanId = 3;
+    /// `SimObserver::on_commit`: the AVF collector's per-commit ACE
+    /// analysis.
+    pub const OBSERVE: SpanId = 2;
+    pub const WRITEBACK: SpanId = 3;
+    /// Training the branch predictor with a resolved outcome.
+    pub const RESOLVE: SpanId = 4;
+    pub const ISSUE: SpanId = 5;
     /// Gathering the ready list: copying the selectable set and
     /// recording the ready-queue statistics. Clearing operand waits runs
     /// in writeback, over the completing producer's dependent list.
-    pub const WAKEUP: SpanId = 4;
-    pub const SELECT: SpanId = 5;
-    pub const DISPATCH: SpanId = 6;
-    pub const GOVERNOR: SpanId = 7;
-    pub const FETCH: SpanId = 8;
-    pub const END_OF_CYCLE: SpanId = 9;
+    pub const WAKEUP: SpanId = 6;
+    pub const SELECT: SpanId = 7;
+    /// A load's or store's data-cache access.
+    pub const ACCESS_DATA: SpanId = 8;
+    pub const DISPATCH: SpanId = 9;
+    /// The dispatch governor's calls; a governor that keeps its own
+    /// profile has it grafted here.
+    pub const GOVERNOR: SpanId = 10;
+    pub const FETCH: SpanId = 11;
+    /// A fetch block's instruction-cache access.
+    pub const ACCESS_INST: SpanId = 12;
+    /// Predicting a correct-path control instruction.
+    pub const PREDICT: SpanId = 13;
+    pub const END_OF_CYCLE: SpanId = 14;
     /// Interval-boundary checkpoint encode+store (outside `tick`: it
     /// runs between cycles, from the harness hook).
-    pub const SNAPSHOT: SpanId = 10;
+    pub const SNAPSHOT: SpanId = 15;
     /// Interval-boundary `--selfcheck` invariant sweep (outside `tick`).
-    pub const SELFCHECK: SpanId = 11;
+    pub const SELFCHECK: SpanId = 16;
     /// Fast-forwarding idle cycles (outside `tick`): its calls are the
     /// cycles skipped, its time the horizon searches and the closed-form
     /// accounting. `tick` calls plus `fast_forward` calls are the cycles
     /// simulated.
-    pub const FAST_FORWARD: SpanId = 12;
+    pub const FAST_FORWARD: SpanId = 17;
+    /// `SimObserver::on_finish` at the end of a run (outside `tick`):
+    /// the AVF collector drains its analysis window.
+    pub const FINISH: SpanId = 18;
+
+    const fn span(name: &'static str, parent: Option<SpanId>) -> SpanDef {
+        SpanDef { name, parent }
+    }
 
     pub const TABLE: &[SpanDef] = &[
-        SpanDef {
-            name: "tick",
-            parent: None,
-        },
-        SpanDef {
-            name: "commit",
-            parent: Some(TICK),
-        },
-        SpanDef {
-            name: "writeback",
-            parent: Some(TICK),
-        },
-        SpanDef {
-            name: "issue",
-            parent: Some(TICK),
-        },
-        SpanDef {
-            name: "wakeup",
-            parent: Some(ISSUE),
-        },
-        SpanDef {
-            name: "select",
-            parent: Some(ISSUE),
-        },
-        SpanDef {
-            name: "dispatch",
-            parent: Some(TICK),
-        },
-        SpanDef {
-            name: "governor",
-            parent: Some(DISPATCH),
-        },
-        SpanDef {
-            name: "fetch",
-            parent: Some(TICK),
-        },
-        SpanDef {
-            name: "end_of_cycle",
-            parent: Some(TICK),
-        },
-        SpanDef {
-            name: "snapshot",
-            parent: None,
-        },
-        SpanDef {
-            name: "selfcheck",
-            parent: None,
-        },
-        SpanDef {
-            name: "fast_forward",
-            parent: None,
-        },
+        span("tick", None),
+        span("commit", Some(TICK)),
+        span("observe", Some(COMMIT)),
+        span("writeback", Some(TICK)),
+        span("resolve", Some(WRITEBACK)),
+        span("issue", Some(TICK)),
+        span("wakeup", Some(ISSUE)),
+        span("select", Some(ISSUE)),
+        span("access_data", Some(ISSUE)),
+        span("dispatch", Some(TICK)),
+        span("governor", Some(DISPATCH)),
+        span("fetch", Some(TICK)),
+        span("access_inst", Some(FETCH)),
+        span("predict", Some(FETCH)),
+        span("end_of_cycle", Some(TICK)),
+        span("snapshot", None),
+        span("selfcheck", None),
+        span("fast_forward", None),
+        span("finish", None),
     ];
 }
 
@@ -413,29 +402,21 @@ impl Pipeline {
 
     /// Enable/disable wall-time self-profiling of the hot loop (off by
     /// default: one branch per span site). When on, `Instant`-batching
-    /// keeps the cost well under the 5% budget. Forwarded to the memory
-    /// hierarchy, branch predictor and dispatch governor so their
-    /// component profiles record over the same window.
+    /// keeps the cost well under the 5% budget. Forwarded to the
+    /// dispatch governor so its own profile records over the same
+    /// window.
     pub fn set_stage_profiling(&mut self, enabled: bool) {
         self.prof.set_enabled(enabled);
-        self.mem.set_profiling(enabled);
-        self.bpred.set_profiling(enabled);
         self.policies.governor.set_profiling(enabled);
     }
 
-    /// Freeze the merged wall-time profile: the pipeline's own span
-    /// tree plus the component profiles (memory hierarchy, branch
-    /// predictor, governor) grafted under per-component anchor roots.
-    /// The anchors deliberately sit *outside* the `tick` subtree — the
-    /// stages that call into the components are already timed by the
-    /// tick spans, so nesting the component trees there would
-    /// double-count their time.
+    /// Freeze the wall-time profile: the [`spans`] tree, with the
+    /// governor's own profile, if it keeps one, grafted under
+    /// `tick;dispatch;governor`, the span that times its calls.
     pub fn profile_report(&self) -> ProfileReport {
         let mut report = self.prof.report();
-        report.merge(&self.mem.profile_report(), "mem_hier");
-        report.merge(&self.bpred.profile_report(), "branch_pred");
         if let Some(g) = self.policies.governor.profile_report() {
-            report.merge(&g, self.policies.governor.name());
+            report.graft(&g, spans::GOVERNOR);
         }
         report
     }
@@ -543,8 +524,6 @@ impl Pipeline {
         // governor seam has no reset: re-sending the profiling switch
         // starts the governor's profile afresh.
         self.prof.reset();
-        self.mem.reset_profile();
-        self.bpred.reset_profile();
         self.policies.governor.set_profiling(self.prof.is_enabled());
         self.iv_wall = Instant::now();
         self.last_commit_cycle = self.now;
@@ -628,7 +607,9 @@ impl Pipeline {
                 self.iv_committed += 1;
                 self.last_commit_cycle = self.now;
                 self.thread_last_commit[tid] = self.now;
+                let t = self.prof.enter(spans::OBSERVE);
                 observer.on_commit(&Self::retire_event(&info, RetireKind::Commit, self.now));
+                self.prof.exit(t);
                 budget -= 1;
                 retired += 1;
             }
@@ -731,6 +712,7 @@ impl Pipeline {
             let fetch_history = info.bp_history;
             let taken = ctrl.taken;
             let target = ctrl.next_pc;
+            let t = self.prof.enter(spans::RESOLVE);
             self.bpred.resolve(
                 tid as ThreadId,
                 pc,
@@ -739,6 +721,7 @@ impl Pipeline {
                 target,
                 Some(fetch_history),
             );
+            self.prof.exit(t);
             if mispredicted {
                 self.recover_mispredict(tid, id, observer);
             }
@@ -1038,7 +1021,9 @@ impl Pipeline {
             let mut l2_miss = false;
             if r.op.is_mem() && !forwarded {
                 let addr = self.slab.get(r.id).inst.mem_addr.expect("mem op w/o addr");
+                let t = self.prof.enter(spans::ACCESS_DATA);
                 let access = self.mem.access_data(r.tid, addr);
+                self.prof.exit(t);
                 l1_miss = access.l1_miss;
                 l2_miss = access.l2_miss;
                 if r.op == OpClass::Load {
@@ -1332,7 +1317,9 @@ impl Pipeline {
                 Some(pc) => pc,
                 None => self.threads[tidx].engine.peek_pc(),
             };
+            let t = self.prof.enter(spans::ACCESS_INST);
             let access = self.mem.access_inst(tid, first_pc);
+            self.prof.exit(t);
             self.activity += 1;
             if access.l1_miss {
                 self.threads[tidx].ifetch_stall_until = self.now + access.latency as u64;
@@ -1401,7 +1388,9 @@ impl Pipeline {
             let kind = branch_kind(info.inst.op);
             info.bp_history = self.bpred.history_checkpoint(tid);
             info.bp_ras = Some(self.bpred.ras_checkpoint(tid));
+            let t = self.prof.enter(spans::PREDICT);
             let pred = self.bpred.predict(tid, pc, kind, pc + 1);
+            self.prof.exit(t);
             let actual = info.inst.ctrl.expect("control inst without outcome");
             let program_len = self.threads[tidx].engine.program().len() as u64;
             let pred_next = pred.next_pc % program_len;
@@ -1941,26 +1930,30 @@ mod tests {
         // ...and the baseline governor is consulted at least once per
         // tick (begin_cycle), more when dispatch slots are contested.
         assert!(node("governor").calls >= ticks);
-        // Component profiles are grafted under anchors outside `tick`:
-        // the memory hierarchy and branch predictor did real work.
-        let anchor = |name: &str| {
-            let i = report.nodes.iter().position(|n| n.name == name).unwrap();
-            assert!(report.nodes[i].parent.is_none(), "{name} nested in tick");
-            i
-        };
-        let mem = anchor("mem_hier");
-        let bp = anchor("branch_pred");
-        let under = |a: usize, name: &str| {
-            report
-                .nodes
-                .iter()
-                .find(|n| n.parent == Some(a) && n.name == name)
-                .unwrap_or_else(|| panic!("{name} not under anchor"))
-        };
-        assert!(under(mem, "access_data").calls > 0);
-        assert!(under(mem, "access_inst").calls > 0);
-        assert!(under(bp, "predict").calls > 0);
-        assert!(under(bp, "resolve").calls > 0);
+        // Calls into the memory hierarchy, the branch predictor and the
+        // observer are timed under the stage that makes them, and the
+        // only roots are the pipeline's own.
+        for (name, stage) in [
+            ("observe", "commit"),
+            ("resolve", "writeback"),
+            ("access_data", "issue"),
+            ("access_inst", "fetch"),
+            ("predict", "fetch"),
+        ] {
+            let n = node(name);
+            assert_eq!(report.nodes[n.parent.unwrap()].name, stage, "{name}");
+            assert!(n.calls > 0, "{name}");
+        }
+        let roots: Vec<&str> = report
+            .nodes
+            .iter()
+            .filter(|n| n.parent.is_none())
+            .map(|n| n.name.as_str())
+            .collect();
+        assert_eq!(
+            roots,
+            ["tick", "snapshot", "selfcheck", "fast_forward", "finish"]
+        );
         // Timing sanity: the tick subtree attributes real time and the
         // stage self times roughly reassemble the tick total. Each span
         // extrapolates its total from 1-in-N sampled entries
@@ -1979,6 +1972,23 @@ mod tests {
         let before = p.prof.calls(spans::TICK);
         p.step(&mut NullObserver);
         assert_eq!(p.prof.calls(spans::TICK), before);
+    }
+
+    #[test]
+    fn call_site_spans_count_every_call_in_the_measured_window() {
+        let mut p = mini_pipeline(["gcc", "mcf", "vpr", "perlbmk"]);
+        p.set_stage_profiling(true);
+        p.warm_up(20_000);
+        let warm = p.mem.stats();
+        let r = run_insts(&mut p, 20_000);
+        let mem = p.mem.stats().since(&warm);
+        let report = p.profile_report();
+        let calls = |name: &str| report.nodes.iter().find(|n| n.name == name).unwrap().calls;
+        assert_eq!(calls("observe"), r.stats.total_committed());
+        assert_eq!(calls("access_data"), mem.l1d.accesses);
+        assert_eq!(calls("access_inst"), mem.l1i.accesses);
+        assert_eq!(calls("predict"), r.stats.branches);
+        assert_eq!(calls("finish"), 1);
     }
 
     #[test]

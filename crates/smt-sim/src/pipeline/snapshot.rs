@@ -18,7 +18,7 @@
 //! token uses, so no mid-cycle state (stage latches) ever needs to be
 //! serialized.
 
-use super::{Pipeline, SimResult, ThreadState};
+use super::{spans, Pipeline, SimResult, ThreadState};
 use crate::config::SimLimits;
 use crate::events::SimObserver;
 use crate::layout;
@@ -509,7 +509,9 @@ impl Pipeline {
             }
         }
         self.stats.cycles = self.now - self.measure_start;
+        let t = self.prof.enter(spans::FINISH);
         observer.on_finish(self.now);
+        self.prof.exit(t);
         SimResult {
             stats: self.stats.clone(),
             deadlocked,
