@@ -31,7 +31,9 @@
 //!   chaos pass is replayed, never re-run: its closure execution count
 //!   in the recovery pass must be zero.
 //! * **No lost completions.** Journal records that were durably written
-//!   (and not damaged by injected faults) always replay.
+//!   (and not damaged by injected faults) always replay, and every job
+//!   the recovery pass completed replays its reference value when the
+//!   journal is reopened after it.
 //! * **Store integrity.** The run index either loads or fails typed;
 //!   every record it admits must have an artifact that reads back
 //!   bit-exact against the reference (registration readback-verifies
@@ -126,8 +128,9 @@ pub struct RoundReport {
     pub corrupt_snapshot_recoveries: u64,
     /// Run records admitted to the store and verified on recovery.
     pub store_records: u64,
-    /// Typed error kind if the recovery-side store open failed
-    /// (`"parse"`, `"io"`, `"unknown_schema"`); `None` when it loaded.
+    /// Typed error kind if the recovery-side store open failed (`"io"`
+    /// or `"unknown_schema"`; damaged index lines are skipped, not
+    /// fatal); `None` when it loaded.
     pub store_open_error: Option<String>,
     /// Contract breaches. Empty on a healthy stack.
     pub violations: Vec<String>,
@@ -569,6 +572,26 @@ fn run_round(round: u64, round_seed: u64, scratch: &Path) -> RoundReport {
         Err(e) => violations.push(format!("recovery pass failed: {}", e.kind())),
     }
     let reexecuted: u64 = recovery_execs.lock().values().sum();
+
+    // Completions the recovery pass wrote must survive a reopen: a torn
+    // tail the chaos pass left must not swallow the record after it.
+    if let Ok(out) = &recovery_result {
+        match Journal::open(&round_dir) {
+            Ok(reopened) => {
+                for (key, job) in &out.jobs {
+                    let replays = matches!(reopened.decode::<u64>(key),
+                        Some(Ok(v)) if v == reference[&key.slug()]);
+                    if matches!(job, JobOutcome::Completed { .. }) && !replays {
+                        violations.push(format!(
+                            "lost completion: {} does not replay after the recovery pass",
+                            key.slug()
+                        ));
+                    }
+                }
+            }
+            Err(e) => violations.push(format!("journal reopen failed: {}", e.kind())),
+        }
+    }
 
     // ---- Store integrity --------------------------------------------
     let (store_records, store_open_error) = match catch_unwind(|| RunStore::open(&store_root)) {

@@ -388,9 +388,11 @@ pub fn cmd_report(args: &ReportArgs) -> i32 {
         Ok(s) => s,
         Err(e) => return fatal(&e),
     };
-    if store.torn_tail {
+    let damage = store.damage();
+    if let Some(first) = damage.first_line {
         eprintln!(
-            "report: warning: dropped a torn final index line in {} (crash mid-append?)",
+            "report: warning: skipped {} damaged line(s) of {}, the first at line {first}",
+            damage.count,
             args.store.join(RunStore::INDEX_FILE).display()
         );
     }

@@ -1,17 +1,18 @@
 //! Append-only JSONL checkpoint journal for resumable campaigns.
 //!
-//! One line per completed job. A crash while appending can tear at most
-//! the final line; [`Journal::open`] tolerates that by discarding any
-//! unparseable tail and counting it, so `--resume` loses at most the
-//! one job that was mid-write.
+//! One line per completed job, written through an [`AppendLog`]. A
+//! crash while appending can tear at most the final line; loading skips
+//! and counts a damaged line, and the next append seals a torn tail, so
+//! `--resume` loses at most the one job that was mid-write.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use sim_chaos::{sweep_tmp_files, RealFs, Vfs};
 
+use crate::append_log::AppendLog;
 use crate::error::JobError;
 
 /// Version stamped into every record; records with a different version
@@ -59,25 +60,12 @@ impl JobKey {
         }
     }
 
-    /// Filesystem/trace-safe label: non-alphanumeric runs collapse to
-    /// a single `-`.
+    /// Filesystem/trace-safe label (see [`slugify`]).
     pub fn slug(&self) -> String {
-        let raw = format!(
+        slugify(&format!(
             "{}-{}-s{}-c{:08x}",
             self.exhibit, self.scheme, self.seed, self.config_hash
-        );
-        let mut out = String::with_capacity(raw.len());
-        let mut last_dash = false;
-        for ch in raw.chars() {
-            if ch.is_ascii_alphanumeric() {
-                out.push(ch.to_ascii_lowercase());
-                last_dash = false;
-            } else if !last_dash {
-                out.push('-');
-                last_dash = true;
-            }
-        }
-        out.trim_matches('-').to_string()
+        ))
     }
 }
 
@@ -89,6 +77,30 @@ impl std::fmt::Display for JobKey {
             self.exhibit, self.scheme, self.seed, self.config_hash
         )
     }
+}
+
+/// Lowercase, filesystem-safe slug: runs of non-alphanumerics collapse
+/// to one `-`, none at either end, and `x` if nothing is left. Used for
+/// job labels, snapshot and artifact file names, and store run ids.
+pub fn slugify(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    let mut dash = false;
+    for c in s.chars() {
+        if c.is_ascii_alphanumeric() {
+            out.push(c.to_ascii_lowercase());
+            dash = false;
+        } else if !dash && !out.is_empty() {
+            out.push('-');
+            dash = true;
+        }
+    }
+    while out.ends_with('-') {
+        out.pop();
+    }
+    if out.is_empty() {
+        out.push('x');
+    }
+    out
 }
 
 /// One journal line: schema version, key, and the job's result as an
@@ -103,27 +115,19 @@ pub struct JournalRecord {
     pub payload: String,
 }
 
-/// Minimal probe used to classify unparseable lines: if the line at
-/// least carries a `v` field with the wrong version it is an old-schema
-/// record, not a torn write. Extra fields are ignored on decode, so
-/// this parses any record shape that has ever stamped a version.
-#[derive(Deserialize)]
-struct VersionProbe {
-    v: u32,
-}
-
 /// Statistics from loading an existing journal file.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JournalLoadStats {
-    /// Records accepted into the replay map.
+    /// Records accepted on load: completions and checkpoint markers.
     pub loaded: usize,
-    /// Lines that failed to parse (torn tail, corruption).
+    /// Damaged lines: not JSON (a torn tail, corruption), no `v`, or
+    /// the current `v` on a line that is not a record.
     pub torn: usize,
-    /// Parsed records whose schema version did not match.
+    /// Records stamped with another schema version (or an unknown
+    /// `state`): skipped, so their jobs re-run.
     pub wrong_version: usize,
-    /// 1-based line number of the first damaged (torn/corrupt) line,
-    /// if any — typed damage report for mid-file corruption. Every
-    /// record on a line before this one was recovered.
+    /// 1-based line number of the first damaged line, if any. Only the
+    /// damaged lines themselves are lost.
     pub first_damaged_line: Option<usize>,
     /// `.tmp` litter files reaped from the journal directory on open
     /// (leftovers of a crash between an atomic write and its rename).
@@ -144,13 +148,8 @@ impl JournalLoadStats {
 /// inject environment faults; production callers use [`Journal::open`],
 /// which binds the real filesystem.
 pub struct Journal {
-    path: PathBuf,
-    fs: Arc<dyn Vfs>,
+    log: AppendLog,
     records: BTreeMap<JobKey, String>,
-    /// Latest checkpoint payload per key. A key leaves this map the
-    /// moment a `done` record lands — a completion supersedes any
-    /// checkpoint taken on the way there.
-    checkpoints: BTreeMap<JobKey, String>,
     load_stats: JournalLoadStats,
 }
 
@@ -159,10 +158,10 @@ impl Journal {
     pub const FILE_NAME: &'static str = "journal.jsonl";
 
     /// Open (creating if absent) the journal in `dir`, replaying any
-    /// existing records. Unparseable lines are discarded and counted
-    /// as `torn`; parseable records with a different schema version are
-    /// counted as `wrong_version`. When the same key appears more than
-    /// once, the later record wins.
+    /// existing records. Damaged lines are skipped and counted as
+    /// `torn`; records with a different schema version are counted as
+    /// `wrong_version`. When the same key appears more than once, the
+    /// later record wins.
     pub fn open(dir: &Path) -> Result<Journal, JobError> {
         Self::open_in(Arc::new(RealFs), dir)
     }
@@ -175,73 +174,48 @@ impl Journal {
     /// before any job runs.
     pub fn open_in(vfs: Arc<dyn Vfs>, dir: &Path) -> Result<Journal, JobError> {
         vfs.create_dir_all(dir).map_err(io_err)?;
-        let path = dir.join(Self::FILE_NAME);
-        let mut records = BTreeMap::new();
-        let mut checkpoints = BTreeMap::new();
-        let mut load_stats = JournalLoadStats {
-            reaped_tmp: sweep_tmp_files(vfs.as_ref(), dir, None).unwrap_or(0),
-            ..JournalLoadStats::default()
-        };
-        if vfs.exists(&path) {
-            // Read raw bytes and decode lossily: read-time bit-rot can
-            // make a line invalid UTF-8, and that must degrade to "this
-            // line is damaged", never to "the whole journal is lost".
-            let bytes = vfs.read(&path).map_err(io_err)?;
-            let text = String::from_utf8_lossy(&bytes);
-            for (lineno, line) in text.lines().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match serde::json::from_str::<JournalRecord>(line) {
-                    Ok(rec) if rec.v == JOURNAL_SCHEMA_VERSION => {
-                        match rec.state.as_str() {
-                            STATE_DONE => {
-                                checkpoints.remove(&rec.key);
-                                records.insert(rec.key, rec.payload);
-                                load_stats.loaded += 1;
-                            }
-                            STATE_CHECKPOINTED => {
-                                if !records.contains_key(&rec.key) {
-                                    checkpoints.insert(rec.key, rec.payload);
-                                }
-                                load_stats.loaded += 1;
-                            }
-                            // Unknown state from a future minor change:
-                            // ignore the record rather than misread it.
-                            _ => load_stats.wrong_version += 1,
-                        }
-                    }
-                    Ok(_) => load_stats.wrong_version += 1,
-                    // A line that will not parse as the current schema
-                    // but still carries a version stamp is an old-schema
-                    // record (e.g. v1 without `state`), not a torn write.
-                    Err(_) => match serde::json::from_str::<VersionProbe>(line) {
-                        Ok(probe) if probe.v != JOURNAL_SCHEMA_VERSION => {
-                            load_stats.wrong_version += 1
-                        }
-                        _ => {
-                            load_stats.torn += 1;
-                            load_stats.first_damaged_line.get_or_insert(lineno + 1);
-                        }
-                    },
-                }
-            }
-        } else {
+        let reaped_tmp = sweep_tmp_files(vfs.as_ref(), dir, None).unwrap_or(0);
+        let (log, lines, mut damage) =
+            AppendLog::open_in(vfs.clone(), dir.join(Self::FILE_NAME)).map_err(io_err)?;
+        if !vfs.exists(log.path()) {
             // Create the (empty) journal eagerly so the campaign
             // directory is observable as soon as the journal opens.
-            vfs.append(&path, b"").map_err(io_err)?;
+            vfs.append(log.path(), b"").map_err(io_err)?;
+        }
+        let mut records = BTreeMap::new();
+        let (mut loaded, mut wrong_version) = (0, 0);
+        for (line, value) in lines {
+            match value.get("v").and_then(Value::as_u64) {
+                None => damage.mark(line),
+                Some(v) if v != u64::from(JOURNAL_SCHEMA_VERSION) => wrong_version += 1,
+                Some(_) => match serde::json::from_value::<JournalRecord>(&value) {
+                    Err(_) => damage.mark(line),
+                    Ok(rec) if rec.state == STATE_DONE => {
+                        records.insert(rec.key, rec.payload);
+                        loaded += 1;
+                    }
+                    Ok(rec) if rec.state == STATE_CHECKPOINTED => loaded += 1,
+                    // Unknown state from a future minor change: ignore
+                    // the record rather than misread it.
+                    Ok(_) => wrong_version += 1,
+                },
+            }
         }
         Ok(Journal {
-            path,
-            fs: vfs,
+            log,
             records,
-            checkpoints,
-            load_stats,
+            load_stats: JournalLoadStats {
+                loaded,
+                torn: damage.count,
+                wrong_version,
+                first_damaged_line: damage.first_line,
+                reaped_tmp,
+            },
         })
     }
 
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     pub fn load_stats(&self) -> JournalLoadStats {
@@ -271,66 +245,40 @@ impl Journal {
         })
     }
 
-    /// Latest checkpoint payload for `key`, unless a `done` record has
-    /// superseded it.
-    pub fn lookup_checkpoint(&self, key: &JobKey) -> Option<&str> {
-        self.checkpoints.get(key).map(|s| s.as_str())
-    }
-
-    /// Decode a journaled checkpoint payload.
-    pub fn decode_checkpoint<R: Deserialize>(&self, key: &JobKey) -> Option<Result<R, JobError>> {
-        self.lookup_checkpoint(key).map(|payload| {
-            serde::json::from_str::<R>(payload).map_err(|e| JobError::Corrupt {
-                detail: format!("journal checkpoint for {key} failed to decode: {e:?}"),
-            })
-        })
-    }
-
     fn append<R: Serialize>(
         &mut self,
         key: &JobKey,
         state: &str,
         body: &R,
     ) -> Result<String, JobError> {
-        let payload = serde::json::to_string(body);
         let rec = JournalRecord {
             v: JOURNAL_SCHEMA_VERSION,
             key: key.clone(),
             state: state.to_string(),
-            payload: payload.clone(),
+            payload: serde::json::to_string(body),
         };
-        let mut line = serde::json::to_string(&rec);
-        line.push('\n');
-        self.fs
-            .append(&self.path, line.as_bytes())
-            .map_err(io_err)?;
-        Ok(payload)
+        self.log.append(&rec).map_err(io_err)?;
+        Ok(rec.payload)
     }
 
     /// Append one completed job. The record is written as a single line
     /// and flushed before returning, so a later crash cannot lose it.
-    /// Completion supersedes any checkpoint recorded for the same key.
     pub fn record<R: Serialize>(&mut self, key: &JobKey, result: &R) -> Result<(), JobError> {
         let payload = self.append(key, STATE_DONE, result)?;
-        self.checkpoints.remove(key);
         self.records.insert(key.clone(), payload);
         Ok(())
     }
 
     /// Append a mid-run checkpoint marker for `key`. The payload is
-    /// campaign-defined — typically the snapshot cycle plus enough
-    /// metadata to locate the snapshot file — and is returned by
-    /// [`Self::lookup_checkpoint`] on resume until a `done` record lands.
+    /// campaign-defined — typically the snapshot cycle — and never
+    /// replays as a result; resume finds the snapshot itself through
+    /// [`SnapshotStore::load_latest_valid`](crate::SnapshotStore::load_latest_valid).
     pub fn record_checkpoint<R: Serialize>(
         &mut self,
         key: &JobKey,
         checkpoint: &R,
     ) -> Result<(), JobError> {
-        let payload = self.append(key, STATE_CHECKPOINTED, checkpoint)?;
-        if !self.records.contains_key(key) {
-            self.checkpoints.insert(key.clone(), payload);
-        }
-        Ok(())
+        self.append(key, STATE_CHECKPOINTED, checkpoint).map(drop)
     }
 }
 
@@ -482,39 +430,68 @@ mod tests {
             let mut j = Journal::open(&dir).unwrap();
             j.record_checkpoint(&key(1), &"cycle-10000".to_string())
                 .unwrap();
-            j.record_checkpoint(&key(1), &"cycle-20000".to_string())
-                .unwrap();
             j.record_checkpoint(&key(2), &"cycle-10000".to_string())
                 .unwrap();
-            // Key 2 finishes; its checkpoint is now obsolete.
+            // A marker is not a result, in memory or on reload.
+            assert!(j.lookup(&key(2)).is_none());
             j.record(&key(2), &"result".to_string()).unwrap();
-            assert!(j.lookup_checkpoint(&key(2)).is_none());
         }
         let j = Journal::open(&dir).unwrap();
-        // Latest checkpoint wins for the still-running job.
-        assert_eq!(
-            j.decode_checkpoint::<String>(&key(1)).unwrap().unwrap(),
-            "cycle-20000"
-        );
-        // The finished job replays its result, not its checkpoint.
-        assert!(j.lookup_checkpoint(&key(2)).is_none());
+        assert_eq!(j.load_stats().loaded, 3, "markers load as records");
+        // The finished job replays its result; the running one nothing.
         assert_eq!(j.decode::<String>(&key(2)).unwrap().unwrap(), "result");
-        // Checkpoints never appear in the completed-replay map.
         assert!(j.lookup(&key(1)).is_none());
         assert_eq!(j.len(), 1);
     }
 
     #[test]
-    fn undecodable_checkpoint_reports_corrupt() {
-        let dir = scratch("undecodable_checkpoint");
-        let mut j = Journal::open(&dir).unwrap();
-        j.record_checkpoint(&key(1), &"not-a-number".to_string())
+    fn torn_tail_then_two_records_replays_both() {
+        let dir = scratch("torn_tail_then_two_records");
+        Journal::open(&dir)
+            .unwrap()
+            .record(&key(1), &"before".to_string())
             .unwrap();
-        let err = j.decode_checkpoint::<u64>(&key(1)).unwrap().unwrap_err();
-        assert!(
-            matches!(err, JobError::Corrupt { .. }),
-            "expected Corrupt, got {err:?}"
-        );
+        let mut f = OpenOptions::new()
+            .append(true)
+            .open(dir.join(Journal::FILE_NAME))
+            .unwrap();
+        f.write_all(b"{\"v\":2,\"key\":{\"exhi").unwrap();
+        drop(f);
+        {
+            // The resumed campaign's first appends seal the torn tail.
+            let mut j = Journal::open(&dir).unwrap();
+            j.record(&key(2), &"after-1".to_string()).unwrap();
+            j.record(&key(3), &"after-2".to_string()).unwrap();
+        }
+        let j = Journal::open(&dir).unwrap();
+        assert_eq!(j.len(), 3);
+        assert_eq!(j.load_stats().torn, 1);
+        assert_eq!(j.load_stats().first_damaged_line, Some(2));
+        assert_eq!(j.decode::<String>(&key(2)).unwrap().unwrap(), "after-1");
+        assert_eq!(j.decode::<String>(&key(3)).unwrap().unwrap(), "after-2");
+    }
+
+    #[test]
+    fn line_without_a_current_record_is_damage() {
+        let dir = scratch("line_without_a_current_record");
+        Journal::open(&dir)
+            .unwrap()
+            .record(&key(1), &"kept".to_string())
+            .unwrap();
+        let mut f = OpenOptions::new()
+            .append(true)
+            .open(dir.join(Journal::FILE_NAME))
+            .unwrap();
+        // Valid JSON, but no version stamp; then a v2 stamp on a line
+        // that is not a v2 record.
+        f.write_all(b"{\"key\":1}\n{\"v\":2,\"payload\":\"x\"}\n")
+            .unwrap();
+        drop(f);
+        let j = Journal::open(&dir).unwrap();
+        assert_eq!(j.len(), 1);
+        assert_eq!(j.load_stats().torn, 2);
+        assert_eq!(j.load_stats().wrong_version, 0);
+        assert_eq!(j.load_stats().first_damaged_line, Some(2));
     }
 
     #[test]

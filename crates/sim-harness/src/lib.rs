@@ -24,9 +24,11 @@
 //!   schema-versioned JSONL [`Journal`] keyed by
 //!   [`JobKey`] `(exhibit, scheme, seed, config-hash)`; re-running the
 //!   campaign against the same journal replays completed jobs from disk
-//!   and only simulates the remainder. The journal load tolerates a
-//!   torn final record, so a crash at any byte boundary loses at most
-//!   the job that was being written.
+//!   and only simulates the remainder. The journal is an [`AppendLog`],
+//!   the one append-only format the run store's index shares: loading
+//!   skips and counts a damaged line, and the next append seals a torn
+//!   tail, so a crash at any byte boundary loses at most the job that
+//!   was being written.
 //! * **Mid-run snapshots** — jobs that honor
 //!   [`HarnessConfig::snapshot_every`] persist versioned, checksummed
 //!   pipeline snapshots through a rotating [`SnapshotStore`] and mark
@@ -44,6 +46,7 @@
 //! retries and quarantines show up in run manifests and Chrome traces
 //! next to the simulations they supervised.
 
+pub mod append_log;
 pub mod backoff;
 pub mod error;
 pub mod fsutil;
@@ -53,10 +56,11 @@ pub mod signal;
 pub mod snapshot;
 pub mod supervisor;
 
+pub use append_log::{AppendLog, LogDamage, LogLines};
 pub use backoff::Backoff;
 pub use error::JobError;
 pub use fsutil::{atomic_write, atomic_write_bytes, atomic_write_bytes_in, tmp_sibling};
-pub use journal::{fnv1a, JobKey, Journal, JournalLoadStats, JOURNAL_SCHEMA_VERSION};
+pub use journal::{fnv1a, slugify, JobKey, Journal, JournalLoadStats, JOURNAL_SCHEMA_VERSION};
 pub use quarantine::{Quarantine, QuarantineEntry};
 pub use sim_chaos::{sweep_tmp_files, RealFs, Vfs};
 pub use snapshot::{LoadedSnapshot, SnapshotStore};

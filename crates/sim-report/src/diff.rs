@@ -310,9 +310,10 @@ pub fn align_series(base: &[SeriesRow], cur: &[SeriesRow]) -> Vec<SeriesAlignmen
     out
 }
 
-/// Parse a `.series.jsonl` artifact. Mirrors the index's durability
-/// contract: a torn final line (aborted run) is dropped, a torn middle
-/// line is an error.
+/// Parse a `.series.jsonl` artifact. The file is written whole by
+/// `atomic_write`, not appended to, so an unparseable line before the
+/// last one means the file is corrupt and is an error; an unparseable
+/// final line (a truncated copy) is dropped.
 pub fn parse_series_jsonl(text: &str) -> Result<Vec<SeriesRow>, String> {
     let lines: Vec<&str> = text.lines().collect();
     let mut rows = Vec::new();

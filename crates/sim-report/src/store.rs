@@ -14,14 +14,19 @@
 //!     BENCH.json / INJECT.json
 //! ```
 //!
-//! The index mirrors the harness journal's durability contract: records
-//! are appended one line at a time, a torn final line (crash or SIGINT
-//! mid-append) is tolerated on load, and an unknown `schema_version`
-//! anywhere is a typed, fatal [`ReportError::UnknownSchema`] — a store
-//! written by a newer layout must be rejected, not misread.
+//! The index is an [`AppendLog`], the harness journal's format: one
+//! record per line, each appended and flushed in one write. A damaged
+//! line — not JSON, no `schema_version`, or not a record — is skipped
+//! and counted ([`RunStore::damage`]), and the next append seals a torn
+//! tail, so a crash mid-append costs only the record being written. An
+//! unknown `schema_version` anywhere is a typed, fatal
+//! [`ReportError::UnknownSchema`]: a store written by a newer layout
+//! must be rejected, not misread.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use sim_chaos::{RealFs, Vfs};
+pub use sim_harness::slugify;
+use sim_harness::{AppendLog, LogDamage};
 use sim_metrics::summary::MetricsSummary;
 use std::fmt;
 use std::io;
@@ -93,7 +98,8 @@ pub enum ReportError {
         found: u32,
         supported: u32,
     },
-    /// A non-final index line (or an artifact) failed to parse.
+    /// An artifact (a manifest, a series file, a report) failed to
+    /// parse. Damaged index lines are skipped, not fatal.
     Parse {
         what: String,
         detail: String,
@@ -146,11 +152,9 @@ pub fn check_schema(what: &str, found: u32, supported: u32) -> Result<(), Report
 /// which binds the real filesystem.
 pub struct RunStore {
     root: PathBuf,
-    fs: Arc<dyn Vfs>,
+    log: AppendLog,
     records: Vec<RunRecord>,
-    /// True when the final index line was torn (unparseable) and was
-    /// dropped on load — the crash-mid-append case.
-    pub torn_tail: bool,
+    damage: LogDamage,
 }
 
 impl fmt::Debug for RunStore {
@@ -158,7 +162,7 @@ impl fmt::Debug for RunStore {
         f.debug_struct("RunStore")
             .field("root", &self.root)
             .field("records", &self.records.len())
-            .field("torn_tail", &self.torn_tail)
+            .field("damage", &self.damage)
             .finish()
     }
 }
@@ -167,66 +171,38 @@ impl RunStore {
     pub const INDEX_FILE: &'static str = "runs.jsonl";
     pub const ARTIFACT_DIR: &'static str = "artifacts";
 
-    /// Open (creating if missing) the store at `root` and load its
-    /// index. A torn final line is tolerated and flagged; an unknown
-    /// schema version or a torn *middle* line is a typed error.
+    /// Open (creating the directory if missing) the store at `root` and
+    /// load its index. Damaged lines are skipped and counted; an
+    /// unknown schema version is a typed error.
     pub fn open(root: impl Into<PathBuf>) -> Result<RunStore, ReportError> {
         Self::open_in(Arc::new(RealFs), root)
     }
 
     /// [`RunStore::open`] against an explicit [`Vfs`] — the seam the
-    /// chaos harness uses to torture the index. The index is read as
-    /// raw bytes and decoded lossily so read-time bit-rot degrades to a
-    /// typed per-line parse failure, never a whole-store I/O error.
+    /// chaos harness uses to torture the index.
     pub fn open_in(vfs: Arc<dyn Vfs>, root: impl Into<PathBuf>) -> Result<RunStore, ReportError> {
         let root = root.into();
         vfs.create_dir_all(&root)?;
-        let index = root.join(Self::INDEX_FILE);
+        let (log, lines, mut damage) = AppendLog::open_in(vfs, root.join(Self::INDEX_FILE))?;
         let mut records = Vec::new();
-        let mut torn_tail = false;
-        if vfs.exists(&index) {
-            let bytes = vfs.read(&index)?;
-            let text = String::from_utf8_lossy(&bytes);
-            let lines: Vec<&str> = text.lines().collect();
-            for (i, line) in lines.iter().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let what = format!("{}:{}", index.display(), i + 1);
-                let value = match serde::json::parse(line) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        if i + 1 == lines.len() {
-                            torn_tail = true; // crash mid-append: drop the tail
-                            continue;
-                        }
-                        return Err(ReportError::Parse {
-                            what,
-                            detail: format!("{e:?}"),
-                        });
-                    }
-                };
-                let found = value
-                    .get("schema_version")
-                    .and_then(|v| v.as_u64())
-                    .ok_or_else(|| ReportError::Parse {
-                        what: what.clone(),
-                        detail: "record has no schema_version".to_string(),
-                    })? as u32;
-                check_schema(&what, found, REPORT_SCHEMA_VERSION)?;
-                let record: RunRecord =
-                    serde::json::from_value(&value).map_err(|e| ReportError::Parse {
-                        what,
-                        detail: format!("{e:?}"),
-                    })?;
-                records.push(record);
+        for (line, value) in lines {
+            let Some(found) = value.get("schema_version").and_then(Value::as_u64) else {
+                damage.mark(line);
+                continue;
+            };
+            let what = format!("{}:{line}", log.path().display());
+            let found = u32::try_from(found).unwrap_or(u32::MAX);
+            check_schema(&what, found, REPORT_SCHEMA_VERSION)?;
+            match serde::json::from_value(&value) {
+                Ok(record) => records.push(record),
+                Err(_) => damage.mark(line),
             }
         }
         Ok(RunStore {
             root,
-            fs: vfs,
+            log,
             records,
-            torn_tail,
+            damage,
         })
     }
 
@@ -247,9 +223,16 @@ impl RunStore {
         self.records.iter().find(|r| r.id == id)
     }
 
-    /// Sequence number for the next record (`r{seq:05}-...` ids).
+    /// Damaged index lines skipped on load.
+    pub fn damage(&self) -> LogDamage {
+        self.damage
+    }
+
+    /// Sequence number for the next record (`r{seq:05}-...` ids): one
+    /// per record and per damaged line, so a new id never reuses the
+    /// number of a line still in the index.
     pub fn next_seq(&self) -> u64 {
-        self.records.len() as u64
+        (self.records.len() + self.damage.count) as u64
     }
 
     /// Batch number for a new registration pass: one past the largest
@@ -262,10 +245,7 @@ impl RunStore {
     /// flush it to disk before returning.
     pub fn append(&mut self, mut record: RunRecord) -> Result<(), ReportError> {
         record.schema_version = REPORT_SCHEMA_VERSION;
-        let mut line = serde::json::to_string(&record);
-        line.push('\n');
-        self.fs
-            .append(&self.root.join(Self::INDEX_FILE), line.as_bytes())?;
+        self.log.append(&record)?;
         self.records.push(record);
         Ok(())
     }
@@ -290,29 +270,6 @@ impl RunStore {
             self.root.join(p)
         })
     }
-}
-
-/// Lowercase, filesystem-safe slug (non-alphanumerics collapse to `-`),
-/// used for store run ids.
-pub fn slugify(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut dash = false;
-    for c in s.chars() {
-        if c.is_ascii_alphanumeric() {
-            out.push(c.to_ascii_lowercase());
-            dash = false;
-        } else if !dash && !out.is_empty() {
-            out.push('-');
-            dash = true;
-        }
-    }
-    while out.ends_with('-') {
-        out.pop();
-    }
-    if out.is_empty() {
-        out.push('x');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -365,39 +322,107 @@ mod tests {
         assert_eq!(store.next_seq(), 2);
 
         let back = RunStore::open(&dir).unwrap();
-        assert!(!back.torn_tail);
+        assert_eq!(back.damage(), LogDamage::default());
         assert_eq!(back.records(), store.records());
         assert_eq!(back.next_batch(), 2);
         assert!(back.get(&store.records()[1].id).is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Append `text` to the index as it stands, without a newline.
+    fn tear(dir: &Path, text: &str) {
+        let index = dir.join(RunStore::INDEX_FILE);
+        let mut bytes = std::fs::read(&index).unwrap();
+        bytes.extend_from_slice(text.as_bytes());
+        std::fs::write(&index, &bytes).unwrap();
+    }
+
+    const FRAGMENT: &str = "{\"schema_version\":1,\"id\":\"r0";
+
     #[test]
-    fn torn_tail_is_tolerated_but_torn_middle_is_not() {
+    fn torn_lines_are_skipped_and_counted_wherever_they_are() {
         let dir = tmp("torn");
         let mut store = RunStore::open(&dir).unwrap();
         store.append(sample_record(0, "baseline", 0)).unwrap();
-        let index = dir.join(RunStore::INDEX_FILE);
         // Crash mid-append: a half-written final line.
-        let mut text = std::fs::read_to_string(&index).unwrap();
-        text.push_str("{\"schema_version\":1,\"id\":\"r0");
-        std::fs::write(&index, &text).unwrap();
+        tear(&dir, FRAGMENT);
         let back = RunStore::open(&dir).unwrap();
-        assert!(back.torn_tail);
         assert_eq!(back.records().len(), 1);
+        assert_eq!(
+            back.damage(),
+            LogDamage {
+                count: 1,
+                first_line: Some(2)
+            }
+        );
 
-        // The same garbage mid-file is corruption, not a torn tail.
+        // The same garbage mid-file is one damaged line too.
+        let index = dir.join(RunStore::INDEX_FILE);
         let mut lines: Vec<String> = std::fs::read_to_string(&index)
             .unwrap()
             .lines()
             .map(String::from)
             .collect();
-        lines.insert(0, "{\"schema_version\":1,\"id\":\"r0".to_string());
+        lines.insert(0, FRAGMENT.to_string());
         std::fs::write(&index, lines.join("\n")).unwrap();
-        match RunStore::open(&dir) {
-            Err(ReportError::Parse { .. }) => {}
-            other => panic!("expected Parse error, got {other:?}"),
+        let back = RunStore::open(&dir).unwrap();
+        assert_eq!(back.records().len(), 1);
+        assert_eq!(back.damage().count, 2);
+        assert_eq!(back.damage().first_line, Some(1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn torn_tail_then_two_appends_keeps_both_records() {
+        let dir = tmp("torn_then_two");
+        let mut store = RunStore::open(&dir).unwrap();
+        store.append(sample_record(0, "baseline", 0)).unwrap();
+        tear(&dir, FRAGMENT);
+        let mut store = RunStore::open(&dir).unwrap();
+        for (scheme, salt) in [("VISA", 1), ("DVM", 2)] {
+            let seq = store.next_seq();
+            store.append(sample_record(seq, scheme, salt)).unwrap();
         }
+        let back = RunStore::open(&dir).unwrap();
+        assert_eq!(back.records(), store.records());
+        assert_eq!(back.records().len(), 3);
+        assert_eq!(back.damage().count, 1);
+        assert_eq!(back.damage().first_line, Some(2));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn damaged_middle_line_is_skipped_and_ids_stay_fresh() {
+        let dir = tmp("damaged_middle");
+        let mut store = RunStore::open(&dir).unwrap();
+        for seq in 0..3 {
+            store.append(sample_record(seq, "baseline", seq)).unwrap();
+        }
+        let index = dir.join(RunStore::INDEX_FILE);
+        let mut lines: Vec<String> = std::fs::read_to_string(&index)
+            .unwrap()
+            .lines()
+            .map(String::from)
+            .collect();
+        // Line 2 rots; line 3 loses its schema stamp.
+        lines[1] = "#rot#".to_string();
+        lines[2] = lines[2].replace("\"schema_version\":1,", "");
+        std::fs::write(&index, lines.join("\n") + "\n").unwrap();
+
+        let back = RunStore::open(&dir).unwrap();
+        assert_eq!(back.records().len(), 1);
+        assert_eq!(
+            back.damage(),
+            LogDamage {
+                count: 2,
+                first_line: Some(2)
+            }
+        );
+        let fresh = format!("r{:05}-", back.next_seq());
+        assert!(
+            store.records().iter().all(|r| !r.id.starts_with(&fresh)),
+            "{fresh} reuses the id of a record still in the index"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
