@@ -12,7 +12,7 @@
 //! at 2 % *and* beyond the combined CI95s — a drift smaller than the
 //! seed noise is not a regression, it is weather.
 
-use crate::checkpoint::{CheckpointPolicy, DEFAULT_SNAPSHOT_EVERY};
+use crate::checkpoint::CheckpointPolicy;
 use crate::context::ExperimentContext;
 use crate::manifest::BudgetSummary;
 use crate::report::Rendered;
@@ -219,8 +219,8 @@ pub fn run_bench_supervised(
         let store = journal_dir.map(|dir| SnapshotStore::new(dir, &key.slug()));
         let policy = store.as_ref().map(|store| CheckpointPolicy {
             store,
-            every: jctx.snapshot_every.unwrap_or(DEFAULT_SNAPSHOT_EVERY),
-            selfcheck: jctx.selfcheck,
+            every: ctx.snapshot_every,
+            selfcheck: ctx.selfcheck,
             metrics: &obs.metrics,
         });
         let out = run_scheme_supervised(
@@ -764,6 +764,51 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The context's snapshot cadence and `selfcheck` reach every
+    /// journaled job's checkpoint policy: each run snapshots once per
+    /// `snapshot_every` cycles and sweeps invariants before each write.
+    /// Snapshots land on the boundaries inside the measured window, so
+    /// a 50K-cycle run takes two at a 20K cadence and four at the
+    /// default 10K one.
+    #[test]
+    fn context_snapshot_policy_reaches_journaled_jobs() {
+        let dir = std::env::temp_dir().join("smtsim_bench_policy_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut params = crate::context::ExperimentParams::fast();
+        params.warmup_insts = 20_000;
+        params.run_cycles = 50_000;
+        let mut ctx = ExperimentContext::new(params).with_profile_dir(dir.join("profiles"));
+        ctx.snapshot_every = 20_000;
+        ctx.selfcheck = true;
+        let cfg = HarnessConfig {
+            jobs: Some(1),
+            ..HarnessConfig::default()
+        };
+        let obs = HarnessObservers {
+            metrics: sim_metrics::Metrics::new(),
+            ..HarnessObservers::off()
+        };
+        let out = run_bench_supervised(&ctx, 1, &cfg, &obs, Some(&dir.join("journal"))).unwrap();
+        assert_eq!(out.stats.completed, 4);
+        let written = obs.metrics.snapshot().counter(crate::C_SNAPSHOTS_WRITTEN);
+        assert_eq!(written, Some(4 * 2), "two snapshots per run");
+        let profiles: Vec<std::path::PathBuf> = std::fs::read_dir(dir.join("profiles"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.to_string_lossy().ends_with(".profile.json"))
+            .collect();
+        assert_eq!(profiles.len(), 4);
+        for path in profiles {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let report: sim_profile::ProfileReport = serde::json::from_str(&text).unwrap();
+            for span in ["snapshot", "selfcheck"] {
+                let node = report.nodes.iter().find(|n| n.name == span);
+                assert_eq!(node.map(|n| n.calls), Some(2), "{span} in {path:?}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// Mid-*job* interrupt acceptance: the shutdown request lands while
     /// a simulation is in flight, the monitor cancels it at its next
     /// snapshot boundary (checkpoints already persisted), one snapshot
@@ -783,7 +828,6 @@ mod tests {
         params.run_cycles = 100_000;
         let cfg = HarnessConfig {
             jobs: Some(1),
-            selfcheck: true,
             ..HarnessConfig::default()
         };
 
@@ -816,7 +860,8 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         });
-        let int_ctx = ExperimentContext::new(params);
+        let mut int_ctx = ExperimentContext::new(params);
+        int_ctx.selfcheck = true;
         let first = run_bench_supervised(&int_ctx, 1, &cfg, &obs, Some(&dir)).unwrap();
         watcher.join().unwrap();
         assert!(first.interrupted, "campaign saw the shutdown request");
@@ -848,7 +893,8 @@ mod tests {
         bytes[mid] ^= 0x01;
         std::fs::write(newest, &bytes).unwrap();
 
-        let resume_ctx = ExperimentContext::new(params);
+        let mut resume_ctx = ExperimentContext::new(params);
+        resume_ctx.selfcheck = true;
         let obs2 = HarnessObservers {
             metrics: sim_metrics::Metrics::new(),
             tracer: sim_trace::Tracer::off(),

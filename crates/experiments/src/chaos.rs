@@ -60,7 +60,7 @@ use serde::{Deserialize, Serialize};
 use sim_chaos::{ChaosConfig, ChaosFs, FaultSpec, Vfs};
 use sim_harness::journal::{fnv1a, JobKey, Journal};
 use sim_harness::{
-    atomic_write, atomic_write_bytes_in, run_journaled_in, Backoff, CampaignOutcome, HarnessConfig,
+    atomic_write, atomic_write_bytes_in, run_journaled_in, CampaignOutcome, HarnessConfig,
     HarnessObservers, JobError, JobOutcome, SnapshotStore,
 };
 use sim_report::{ReportError, RunRecord, RunStore};
@@ -251,12 +251,10 @@ fn run_toy_job(
 
 /// Harness policy for torture campaigns: single worker (so the
 /// filesystem-operation order, and with it the fault schedule, is a
-/// pure function of the seed), no backoff sleeps, fast quarantine.
+/// pure function of the seed) and fast quarantine.
 fn torture_config() -> HarnessConfig {
     HarnessConfig {
         max_attempts: 2,
-        backoff: Backoff::none(),
-        quarantine_threshold: 2,
         jobs: Some(1),
         ..HarnessConfig::default()
     }

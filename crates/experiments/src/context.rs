@@ -1,6 +1,7 @@
 //! Shared experiment state: profiled programs, measurement budgets and
 //! the outcomes of the runs already simulated.
 
+use crate::checkpoint::DEFAULT_SNAPSHOT_EVERY;
 use crate::manifest::RunManifest;
 use crate::runner::RunOutcome;
 use avf::profiler::{profile_and_tag, ProfileResult};
@@ -90,6 +91,12 @@ pub(crate) struct RunKey {
 pub struct ExperimentContext {
     pub params: ExperimentParams,
     pub machine: MachineConfig,
+    /// Simulated cycles between a journaled job's mid-run snapshots
+    /// (`--snapshot-every`; default [`DEFAULT_SNAPSHOT_EVERY`]).
+    pub snapshot_every: u64,
+    /// Check pipeline invariants at every snapshot boundary and fail the
+    /// job instead of writing a poisoned checkpoint (`--selfcheck`).
+    pub selfcheck: bool,
     #[allow(clippy::type_complexity)]
     tagged: Mutex<HashMap<(&'static str, u64), (Arc<Program>, ProfileResult)>>,
     /// When set, each run exports a Chrome trace-event file here.
@@ -122,6 +129,8 @@ impl ExperimentContext {
         ExperimentContext {
             params,
             machine: MachineConfig::table2(),
+            snapshot_every: DEFAULT_SNAPSHOT_EVERY,
+            selfcheck: false,
             tagged: Mutex::new(HashMap::new()),
             trace_dir: None,
             metrics_dir: None,

@@ -105,9 +105,9 @@ fn export_observers(
     };
     let snapshot = metrics.snapshot();
     let export = std::fs::create_dir_all(dir).and_then(|_| {
-        std::fs::write(
-            dir.join(format!("inject_s{salt}_{}.prom", slugify(scheme))),
-            sim_metrics::export::render_prometheus(&snapshot),
+        sim_harness::atomic_write(
+            &dir.join(format!("inject_s{salt}_{}.prom", slugify(scheme))),
+            &sim_metrics::export::render_prometheus(&snapshot),
         )
     });
     if let Err(e) = export {
@@ -261,8 +261,6 @@ pub fn run_fault_inject_supervised(
         campaigns.push(pair.baseline.clone());
         campaigns.push(pair.dvm.clone());
     }
-    let mut quarantined = outcome.quarantine.clone();
-    quarantined.sort_by(|a, b| a.key.cmp(&b.key));
     Ok(FaultInjectCampaign {
         report: FaultInjectReport {
             schema_version: FAULT_SCHEMA_VERSION,
@@ -272,7 +270,7 @@ pub fn run_fault_inject_supervised(
             rob_trials: trials / 2,
             rf_trials: trials / 2,
             campaigns,
-            quarantined,
+            quarantined: outcome.quarantine,
         },
         stats: outcome.stats,
         interrupted: outcome.interrupted,

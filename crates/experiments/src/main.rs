@@ -10,8 +10,7 @@
 //!             [--trace DIR] [--metrics DIR] [--profile DIR] [--store DIR]
 //! experiments fault-inject [--fast] [--seeds N] [--trials N] [--jobs N]
 //!             [--out FILE] [--check-avf] [--resume DIR] [--deadline-s N]
-//!             [--heartbeat-s N] [--trace DIR] [--metrics DIR]
-//!             [--profile DIR] [--store DIR]
+//!             [--heartbeat-s N] [--trace DIR] [--metrics DIR] [--store DIR]
 //! experiments report [--store DIR] [--list] [--diff] [--html FILE]
 //!             [--title TITLE] [SELECTOR...]
 //! experiments chaos [--seed N] [--rounds N] [--scratch DIR] [--out FILE]
@@ -93,9 +92,10 @@
 //! exported. When `--store` is given, `--manifest` and `--metrics`
 //! default to `DIR/artifacts` so one flag yields a fully chartable
 //! store; explicit flags still override. `bench-baseline` defaults
-//! `--out` to `DIR/artifacts/BENCH.json` and `fault-inject` to
-//! `DIR/artifacts/INJECT.json`, and each fault-inject scheme campaign
-//! registers as its own record.
+//! `--out` to `DIR/artifacts/BENCH.json`. `fault-inject` defaults
+//! `--out` to `DIR/artifacts/b<batch>/INJECT.json` and `--metrics` to
+//! `DIR/artifacts/b<batch>/`, so each invocation keeps its own files, and
+//! each of its scheme campaigns registers as its own record.
 //!
 //! `report` reads back the store that `--store DIR` names, which must
 //! hold a `runs.jsonl` (reading never creates a store). `--list` prints
@@ -238,7 +238,7 @@ static SUBCOMMANDS: [Subcommand; 5] = [
     Subcommand {
         name: "fault-inject",
         flags: &["--fast", "--seeds", "--trials", "--jobs", "--out", "--check-avf", "--resume",
-            "--deadline-s", "--heartbeat-s", "--trace", "--metrics", "--profile", "--store"],
+            "--deadline-s", "--heartbeat-s", "--trace", "--metrics", "--store"],
         positionals: None,
         run: run_fault_inject,
     },
@@ -458,22 +458,26 @@ fn open_store(cli: &Cli) -> Result<Option<RunStore>, String> {
 }
 
 /// The context a simulating mode runs on, with run ids after the store's
-/// records (so artifact names never collide across invocations) and the
-/// directories its runs export into; metrics default to the store's
-/// artifact directory, so one `--store` flag yields a chartable store.
+/// records (so artifact names never collide across invocations), the
+/// directories its runs export into and its snapshot policy. Metrics
+/// default to `artifacts`, the mode's directory in the `--store` store,
+/// so one `--store` flag yields a chartable store.
 fn context(
     cli: &Cli,
     params: ExperimentParams,
     store: Option<&RunStore>,
+    artifacts: Option<PathBuf>,
 ) -> (ExperimentContext, ArtifactDirs) {
     let dirs = ArtifactDirs {
-        metrics: cli
-            .path("--metrics")
-            .or_else(|| store.map(RunStore::artifact_dir)),
+        metrics: cli.path("--metrics").or(artifacts),
         profile: cli.path("--profile"),
         trace: cli.path("--trace"),
     };
     let mut ctx = ExperimentContext::new(params);
+    if let Some(every) = cli.num("--snapshot-every") {
+        ctx.snapshot_every = every;
+    }
+    ctx.selfcheck = cli.on("--selfcheck");
     if let Some(dir) = &dirs.trace {
         ctx = ctx.with_trace_dir(dir);
     }
@@ -493,8 +497,6 @@ fn context(
 fn harness_config(cli: &Cli) -> HarnessConfig {
     HarnessConfig {
         deadline: cli.num("--deadline-s").map(Duration::from_secs),
-        snapshot_every: cli.num("--snapshot-every"),
-        selfcheck: cli.on("--selfcheck"),
         heartbeat: cli.num("--heartbeat-s").map(Duration::from_secs),
         ..HarnessConfig::default()
     }
@@ -531,7 +533,8 @@ fn run_exhibits(cli: &Cli) -> Result<i32, String> {
     // One store handle and one batch number for the whole invocation, so
     // `batch=N` selects everything this campaign produced.
     let mut store = open_store(cli)?;
-    let (ctx, dirs) = context(cli, params, store.as_ref());
+    let artifacts = store.as_ref().map(RunStore::artifact_dir);
+    let (ctx, dirs) = context(cli, params, store.as_ref(), artifacts);
     let batch = store.as_ref().map_or(0, RunStore::next_batch);
     let manifest_dir = cli
         .path("--manifest")
@@ -727,7 +730,8 @@ fn finish_campaign(
 fn run_bench_baseline(cli: &Cli) -> Result<i32, String> {
     let seeds = cli.num("--seeds").unwrap_or(3);
     let mut store = open_store(cli)?;
-    let (ctx, dirs) = context(cli, ExperimentParams::bench(), store.as_ref());
+    let artifacts = store.as_ref().map(RunStore::artifact_dir);
+    let (ctx, dirs) = context(cli, ExperimentParams::bench(), store.as_ref(), artifacts);
     // With a store, the baseline JSON lands in its artifact directory by
     // default so the store stays self-describing.
     let out = cli
@@ -834,20 +838,31 @@ fn bench_exhibit_for(m: &experiments::manifest::RunManifest) -> String {
 /// The `fault-inject` subcommand: run the campaigns under supervision,
 /// report, optionally record JSON and/or gate on model agreement.
 fn run_fault_inject(cli: &Cli) -> Result<i32, String> {
-    let seeds = cli.num("--seeds").unwrap_or(3);
-    let trials = cli.num("--trials").unwrap_or(120);
     let params = if cli.on("--fast") {
         ExperimentParams::fast()
     } else {
         ExperimentParams::full()
     };
+    fault_inject(cli, params)
+}
+
+/// [`run_fault_inject`] on the budget `params`.
+fn fault_inject(cli: &Cli, params: ExperimentParams) -> Result<i32, String> {
+    let seeds = cli.num("--seeds").unwrap_or(3);
+    let trials = cli.num("--trials").unwrap_or(120);
     let mut store = open_store(cli)?;
-    let (ctx, dirs) = context(cli, params, store.as_ref());
-    // With a store, the campaign JSON lands in its artifact directory by
-    // default so `report --html` finds the injection outcomes.
+    // One batch per invocation, taken before the campaign. With a store,
+    // the campaign JSON and the metrics default to the batch's own
+    // directory, so `report --html` finds each invocation's injection
+    // outcomes and a later invocation never overwrites them.
+    let batch = store.as_ref().map_or(0, RunStore::next_batch);
+    let batch_dir = store
+        .as_ref()
+        .map(|s| s.artifact_dir().join(format!("b{batch}")));
     let out = cli
         .path("--out")
-        .or_else(|| store.as_ref().map(|s| s.artifact_dir().join("INJECT.json")));
+        .or_else(|| batch_dir.as_ref().map(|d| d.join("INJECT.json")));
+    let (ctx, dirs) = context(cli, params, store.as_ref(), batch_dir);
     println!(
         "# smtsim fault-inject (schema v{}, {} salt(s), {} IQ trials/campaign, warmup {} insts, {} measured cycles/run)\n",
         faultinject::FAULT_SCHEMA_VERSION,
@@ -892,7 +907,6 @@ fn run_fault_inject(cli: &Cli) -> Result<i32, String> {
         println!("  [campaign report -> {}]", path.display());
     }
     if let Some(store) = store.as_mut() {
-        let batch = store.next_batch();
         match experiments::register_inject(
             store,
             batch,
@@ -949,7 +963,12 @@ fn run_chaos(cli: &Cli) -> Result<i32, String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse, select_exhibits, usage, Cli, Kind, Value, FLAGS, SUBCOMMANDS};
+    use super::{
+        fault_inject, parse, select_exhibits, usage, Cli, Kind, Value, FLAGS, SUBCOMMANDS,
+    };
+    use experiments::context::ExperimentParams;
+    use experiments::faultinject::FaultInjectReport;
+    use sim_report::RunStore;
     use std::path::PathBuf;
 
     /// Split a command line as a shell would, for lines made of plain
@@ -1194,6 +1213,7 @@ mod tests {
             "bench-baseline --list",
             "--out /tmp/o table2",
             "fault-inject --selfcheck",
+            "fault-inject --profile /tmp/p",
             "--fast --fast fig2",
         ] {
             assert!(parse(&args(line)).is_err(), "{line} must be rejected");
@@ -1201,6 +1221,42 @@ mod tests {
         // An unknown exhibit is a positional the exhibit runner rejects.
         let cli = accepted("bogus");
         assert_eq!(select_exhibits(&cli.positionals), Err(vec!["bogus"]));
+    }
+
+    /// Two `fault-inject` runs registered into one store each keep their
+    /// own report and metrics files, so neither overwrites the other's.
+    #[test]
+    fn fault_inject_runs_in_one_store_keep_their_own_artifacts() {
+        let dir = std::env::temp_dir().join("smtsim_cli_two_inject_runs");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut params = ExperimentParams::fast();
+        params.warmup_insts = 20_000;
+        params.run_cycles = 20_000;
+        for trials in [8, 16] {
+            let line = format!(
+                "fault-inject --seeds 1 --trials {trials} --store {}",
+                dir.display()
+            );
+            assert_eq!(fault_inject(&accepted(&line), params), Ok(0), "{line}");
+        }
+        let store = RunStore::open(&dir).unwrap();
+        assert_eq!(store.records().len(), 4);
+        let mut paths = std::collections::HashSet::new();
+        for r in store.records() {
+            let trials = [8, 16][r.batch as usize - 1];
+            let inject = store.artifact_path(r, "inject").unwrap();
+            assert_eq!(FaultInjectReport::load(&inject).unwrap().iq_trials, trials);
+            let prom = store.artifact_path(r, "prom").unwrap();
+            let text = std::fs::read_to_string(&prom).unwrap();
+            // IQ trials plus half as many each for the ROB and the RF.
+            let line = format!("smtsim_faultinject_trials {}", 2 * trials);
+            assert!(text.lines().any(|l| l == line), "{}", prom.display());
+            paths.insert(inject);
+            paths.insert(prom);
+        }
+        // One report per run and one metrics file per record.
+        assert_eq!(paths.len(), 2 + 4);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

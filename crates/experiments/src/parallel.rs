@@ -19,9 +19,7 @@
 //!   finish first and the panic is re-raised afterwards with the slot
 //!   index attached.
 
-use sim_harness::{
-    run_supervised, Backoff, HarnessConfig, HarnessObservers, JobError, JobKey, JobOutcome,
-};
+use sim_harness::{run_supervised, HarnessConfig, HarnessObservers, JobError, JobKey, JobOutcome};
 
 /// Supervision policy for in-process exhibit fan-out: no retries (the
 /// simulations are deterministic, so a failure is not transient), no
@@ -29,9 +27,6 @@ use sim_harness::{
 fn exhibit_cfg() -> HarnessConfig {
     HarnessConfig {
         max_attempts: 1,
-        backoff: Backoff::none(),
-        quarantine_threshold: 1,
-        deadline: None,
         ..HarnessConfig::default()
     }
 }

@@ -19,7 +19,7 @@ use sim_chaos::{RealFs, Vfs};
 use sim_harness::journal::{fnv1a, JobKey, Journal};
 use sim_harness::signal::{self, EXIT_INTERRUPTED, SIGTERM};
 use sim_harness::{
-    run_journaled, Backoff, HarnessConfig, HarnessObservers, JobError, JobOutcome, SnapshotStore,
+    run_journaled, HarnessConfig, HarnessObservers, JobError, JobOutcome, SnapshotStore,
 };
 use sim_snapshot::{read_container, write_container};
 
@@ -59,8 +59,6 @@ fn reference(start: u64, steps: u64) -> u64 {
 fn serial_config() -> HarnessConfig {
     HarnessConfig {
         max_attempts: 1,
-        backoff: Backoff::none(),
-        quarantine_threshold: 1,
         jobs: Some(1),
         ..HarnessConfig::default()
     }

@@ -14,35 +14,20 @@ use sim_metrics::Metrics;
 use sim_trace::{TraceEvent, Tracer};
 use smt_sim::CancelToken;
 
-use crate::backoff::Backoff;
 use crate::error::JobError;
 use crate::journal::{JobKey, Journal};
-use crate::quarantine::{Quarantine, QuarantineEntry};
 use crate::signal;
 
 /// Supervision policy for one campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HarnessConfig {
-    /// Attempts per job before giving up (>= 1).
+    /// Attempts per job (>= 1). A failed attempt is retried at once; a
+    /// job whose every attempt failed is quarantined.
     pub max_attempts: u32,
-    /// Delay schedule between attempts.
-    pub backoff: Backoff,
-    /// Failures before a job is quarantined. Effectively capped at
-    /// `max_attempts` — a job cannot fail more often than it is tried.
-    pub quarantine_threshold: u32,
     /// Wall-clock budget per attempt; `None` disables the monitor.
     pub deadline: Option<Duration>,
     /// Worker-pool width; `None` falls back to [`default_jobs`].
     pub jobs: Option<usize>,
-    /// Checkpoint cadence in simulated cycles; `None` keeps the
-    /// simulator's default interval. Jobs read this through
-    /// [`JobCtx::snapshot_every`] — the harness itself never snapshots,
-    /// it only carries the policy to the closures that can.
-    pub snapshot_every: Option<u64>,
-    /// Paranoid mode: jobs should run structural invariant checks at
-    /// every snapshot boundary and fail fast (as `JobError::Diverged`)
-    /// on the first violation instead of writing a poisoned checkpoint.
-    pub selfcheck: bool,
     /// Cadence of the live progress line on stderr (jobs done/total,
     /// aggregate simulated throughput, ETA); `None` keeps the campaign
     /// silent. When stderr is a terminal the line overwrites itself in
@@ -54,12 +39,8 @@ impl Default for HarnessConfig {
     fn default() -> HarnessConfig {
         HarnessConfig {
             max_attempts: 3,
-            backoff: Backoff::standard(),
-            quarantine_threshold: 3,
             deadline: None,
             jobs: None,
-            snapshot_every: None,
-            selfcheck: false,
             heartbeat: None,
         }
     }
@@ -73,11 +54,6 @@ pub struct JobCtx {
     pub attempt: u32,
     /// Cooperative cancellation token for this attempt.
     pub cancel: CancelToken,
-    /// Checkpoint cadence requested by [`HarnessConfig::snapshot_every`].
-    pub snapshot_every: Option<u64>,
-    /// Paranoid invariant checking requested by
-    /// [`HarnessConfig::selfcheck`].
-    pub selfcheck: bool,
     /// Campaign-wide simulated-cycle counter, shared by every job of
     /// the campaign. Jobs that simulate should add the cycles they
     /// retire (`smt_sim::Pipeline::set_progress_counter` does this at
@@ -105,9 +81,10 @@ pub enum JobOutcome<R> {
         /// True when the value came from the checkpoint journal.
         from_journal: bool,
     },
-    /// The job exhausted its retries or hit the quarantine threshold.
+    /// Every one of the job's `max_attempts` attempts failed.
     Quarantined { error: JobError, attempts: u32 },
-    /// Never attempted: shutdown was requested before it was claimed.
+    /// Unfinished: a shutdown was requested before the job was claimed,
+    /// while an attempt ran, or before a retry. A resume re-runs it.
     Skipped,
 }
 
@@ -120,8 +97,9 @@ impl<R> JobOutcome<R> {
     }
 }
 
-/// Aggregate counters for one campaign run; mirrors the `harness.*`
-/// metrics so manifests can embed them without a metrics registry.
+/// The supervisor's one ledger of a campaign. Manifests embed it, and
+/// [`run_supervised`] and [`run_journaled_in`] publish each nonzero
+/// count as its `harness.*` counter when they return.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HarnessStats {
     pub completed: u64,
@@ -148,6 +126,42 @@ impl HarnessStats {
             JobError::Corrupt { .. } => self.corrupt += 1,
         }
     }
+
+    /// Each count under its `harness.*` counter name.
+    fn counters(&self) -> [(&'static str, u64); 11] {
+        [
+            ("harness.jobs_completed", self.completed),
+            ("harness.jobs_resumed", self.resumed),
+            ("harness.retries", self.retries),
+            ("harness.failures.panic", self.panics),
+            ("harness.failures.deadline", self.deadlines),
+            ("harness.failures.watchdog", self.watchdogs),
+            ("harness.failures.diverged", self.diverged),
+            ("harness.failures.io", self.io_errors),
+            ("harness.failures.corrupt", self.corrupt),
+            ("harness.jobs_quarantined", self.quarantined),
+            ("harness.jobs_skipped", self.skipped),
+        ]
+    }
+
+    /// Add every nonzero count to `metrics`; a zero creates no counter.
+    fn publish(&self, metrics: &Metrics) {
+        for (name, n) in self.counters() {
+            if n > 0 {
+                metrics.counter_add(name, n);
+            }
+        }
+    }
+}
+
+/// One quarantined job, as reported in the campaign manifest.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct QuarantineEntry {
+    pub key: JobKey,
+    /// Failed attempts: the campaign's `max_attempts`.
+    pub failures: u32,
+    /// The last error observed — usually the most informative one.
+    pub error: JobError,
 }
 
 /// Everything a campaign produced, including what it could *not*
@@ -161,6 +175,7 @@ pub struct CampaignOutcome<R> {
     /// the campaign before every job was attempted.
     pub interrupted: bool,
     pub stats: HarnessStats,
+    /// The [`JobOutcome::Quarantined`] jobs, in input order.
     pub quarantine: Vec<QuarantineEntry>,
     /// Aggregate simulated cycles reported by jobs through
     /// [`JobCtx::progress`] (0 when no job wires the counter).
@@ -168,6 +183,33 @@ pub struct CampaignOutcome<R> {
 }
 
 impl<R> CampaignOutcome<R> {
+    /// The outcome of `jobs`, given in input order.
+    fn new(
+        jobs: Vec<(JobKey, JobOutcome<R>)>,
+        interrupted: bool,
+        stats: HarnessStats,
+        simulated_cycles: u64,
+    ) -> CampaignOutcome<R> {
+        let quarantine = jobs
+            .iter()
+            .filter_map(|(key, outcome)| match outcome {
+                JobOutcome::Quarantined { error, attempts } => Some(QuarantineEntry {
+                    key: key.clone(),
+                    failures: *attempts,
+                    error: error.clone(),
+                }),
+                _ => None,
+            })
+            .collect();
+        CampaignOutcome {
+            jobs,
+            interrupted,
+            stats,
+            quarantine,
+            simulated_cycles,
+        }
+    }
+
     /// Completed values in input order (journal replays included).
     pub fn values(&self) -> Vec<&R> {
         self.jobs.iter().filter_map(|(_, o)| o.value()).collect()
@@ -237,25 +279,9 @@ pub fn default_jobs() -> usize {
     }
 }
 
-const C_COMPLETED: &str = "harness.jobs_completed";
-const C_RESUMED: &str = "harness.jobs_resumed";
-const C_QUARANTINED: &str = "harness.jobs_quarantined";
-const C_SKIPPED: &str = "harness.jobs_skipped";
-const C_RETRIES: &str = "harness.retries";
 const C_JOURNAL_TORN: &str = "harness.journal.torn_records";
 const C_JOURNAL_WRONG_VERSION: &str = "harness.journal.wrong_version_records";
 const C_JOURNAL_WRITE_ERRORS: &str = "harness.journal.write_errors";
-
-fn failure_counter(err: &JobError) -> &'static str {
-    match err {
-        JobError::Panic { .. } => "harness.failures.panic",
-        JobError::Deadline { .. } => "harness.failures.deadline",
-        JobError::Watchdog { .. } => "harness.failures.watchdog",
-        JobError::Diverged { .. } => "harness.failures.diverged",
-        JobError::Io { .. } => "harness.failures.io",
-        JobError::Corrupt { .. } => "harness.failures.corrupt",
-    }
-}
 
 #[cfg(unix)]
 extern "C" {
@@ -309,23 +335,6 @@ fn fmt_secs(s: f64) -> String {
     }
 }
 
-/// Sleep in small slices so a shutdown request cuts the wait short.
-/// Returns true when shutdown was requested.
-fn sleep_interruptible(total: Duration, obs: &HarnessObservers) -> bool {
-    let slice = Duration::from_millis(10);
-    let until = Instant::now() + total;
-    loop {
-        if obs.shutdown_requested() {
-            return true;
-        }
-        let now = Instant::now();
-        if now >= until {
-            return false;
-        }
-        std::thread::sleep(slice.min(until - now));
-    }
-}
-
 /// A monitor-board slot for one in-flight attempt: its wall-clock
 /// expiry (when a deadline is configured), its token to cancel, and
 /// the flag that re-classifies its failure as `Deadline`. The monitor
@@ -349,6 +358,25 @@ pub fn run_supervised<T, R, F, C>(
     f: F,
     cfg: &HarnessConfig,
     obs: &HarnessObservers,
+    on_complete: C,
+) -> CampaignOutcome<R>
+where
+    T: Send + Sync,
+    R: Send,
+    F: Fn(&T, &JobCtx) -> Result<R, JobError> + Sync,
+    C: FnMut(&JobKey, &R),
+{
+    let outcome = supervise(items, f, cfg, obs, on_complete);
+    outcome.stats.publish(&obs.metrics);
+    outcome
+}
+
+/// [`run_supervised`] without publishing its stats.
+fn supervise<T, R, F, C>(
+    items: Vec<(JobKey, T)>,
+    f: F,
+    cfg: &HarnessConfig,
+    obs: &HarnessObservers,
     mut on_complete: C,
 ) -> CampaignOutcome<R>
 where
@@ -360,10 +388,8 @@ where
     let n = items.len();
     let workers = cfg.jobs.unwrap_or_else(default_jobs).max(1).min(n.max(1));
     let max_attempts = cfg.max_attempts.max(1);
-    let effective_threshold = cfg.quarantine_threshold.clamp(1, max_attempts);
     let started_at = Instant::now();
 
-    let quarantine = Mutex::new(Quarantine::new(effective_threshold));
     let stats = Mutex::new(HarnessStats::default());
     let progress = obs
         .progress
@@ -485,7 +511,6 @@ where
             let items = &items;
             let f = &f;
             let next = &next;
-            let quarantine = &quarantine;
             let stats = &stats;
             let board = &board;
             let trace = &trace;
@@ -500,22 +525,19 @@ where
                         break;
                     }
                     let (key, item) = &items[i];
-                    // Jitter seed: stable per job, so retry timing is
-                    // reproducible yet decorrelated across the pool.
-                    let jitter_seed = crate::journal::fnv1a(&key.slug());
                     let mut attempt = 0u32;
                     let outcome = loop {
                         attempt += 1;
                         if attempt > 1 {
-                            obs.metrics.counter_add(C_RETRIES, 1);
-                            stats.lock().retries += 1;
-                            trace(key, attempt, "retried", "backoff elapsed, retrying");
-                            let delay = cfg.backoff.delay_before_jittered(attempt, jitter_seed);
-                            if sleep_interruptible(delay, obs) {
-                                // Shutdown mid-backoff: leave the job
-                                // unfinished so a resume can retry it.
+                            // The jobs are deterministic, so waiting before
+                            // a retry changes nothing: retry at once. A
+                            // shutdown leaves the job unfinished instead.
+                            if obs.shutdown_requested() {
+                                trace(key, attempt - 1, "interrupted", "before a retry");
                                 break JobOutcome::Skipped;
                             }
+                            stats.lock().retries += 1;
+                            trace(key, attempt, "retried", "");
                         }
 
                         let cancel = CancelToken::new();
@@ -523,8 +545,6 @@ where
                         let ctx = JobCtx {
                             attempt,
                             cancel: cancel.clone(),
-                            snapshot_every: cfg.snapshot_every,
-                            selfcheck: cfg.selfcheck,
                             progress: Arc::clone(progress),
                             deadline_hit: Arc::clone(&deadline_hit),
                         };
@@ -556,7 +576,6 @@ where
 
                         match result {
                             Ok(value) => {
-                                obs.metrics.counter_add(C_COMPLETED, 1);
                                 stats.lock().completed += 1;
                                 trace(key, attempt, "completed", "");
                                 break JobOutcome::Completed {
@@ -575,12 +594,9 @@ where
                                 break JobOutcome::Skipped;
                             }
                             Err(err) => {
-                                obs.metrics.counter_add(failure_counter(&err), 1);
                                 stats.lock().count_failure(&err);
                                 trace(key, attempt, "failed", &err.to_string());
-                                let newly_quarantined = quarantine.lock().record_failure(key, &err);
-                                if newly_quarantined || attempt >= max_attempts {
-                                    obs.metrics.counter_add(C_QUARANTINED, 1);
+                                if attempt >= max_attempts {
                                     stats.lock().quarantined += 1;
                                     trace(key, attempt, "quarantined", &err.to_string());
                                     break JobOutcome::Quarantined {
@@ -626,32 +642,22 @@ where
 
     let interrupted = obs.shutdown_requested();
     let mut stats = stats.into_inner();
-    let quarantine = quarantine.into_inner().report();
     let jobs: Vec<(JobKey, JobOutcome<R>)> = items
         .into_iter()
         .zip(slots)
-        .map(|((key, _), slot)| {
-            let outcome = slot.unwrap_or(JobOutcome::Skipped);
-            if matches!(outcome, JobOutcome::Skipped) {
-                stats.skipped += 1;
-                obs.metrics.counter_add(C_SKIPPED, 1);
-            }
-            (key, outcome)
-        })
+        .map(|((key, _), slot)| (key, slot.unwrap_or(JobOutcome::Skipped)))
         .collect();
+    stats.skipped = jobs
+        .iter()
+        .filter(|(_, o)| matches!(o, JobOutcome::Skipped))
+        .count() as u64;
 
     // Flush the trace sink on the way out — an interrupted campaign
     // exits shortly after this drain, and a buffered JSONL sink would
     // otherwise lose (or tear) the final harness records.
     obs.tracer.flush();
 
-    CampaignOutcome {
-        jobs,
-        interrupted,
-        stats,
-        quarantine,
-        simulated_cycles: progress.load(Ordering::Relaxed),
-    }
+    CampaignOutcome::new(jobs, interrupted, stats, progress.load(Ordering::Relaxed))
 }
 
 /// [`run_supervised`] plus checkpoint–resume: completed jobs found in
@@ -703,12 +709,13 @@ where
     }
 
     let started_at = Instant::now();
-    let mut replayed: Vec<(usize, JobKey, R)> = Vec::new();
-    let mut fresh: Vec<(usize, (JobKey, T))> = Vec::new();
-    for (idx, (key, item)) in items.into_iter().enumerate() {
+    // Each input's key with its journaled value, if it has one; the
+    // rest run fresh, in input order.
+    let mut replayed: Vec<(JobKey, Option<R>)> = Vec::new();
+    let mut fresh: Vec<(JobKey, T)> = Vec::new();
+    for (key, item) in items {
         match journal.lock().decode::<R>(&key) {
             Some(Ok(value)) => {
-                obs.metrics.counter_add(C_RESUMED, 1);
                 obs.tracer.emit(|| TraceEvent::Harness {
                     at_ms: started_at.elapsed().as_millis() as u64,
                     job: key.slug(),
@@ -716,18 +723,17 @@ where
                     phase: "resumed".to_string(),
                     detail: "replayed from journal".to_string(),
                 });
-                replayed.push((idx, key, value));
+                replayed.push((key, Some(value)));
             }
             // An undecodable payload is treated as absent: re-run it.
-            Some(Err(_)) | None => fresh.push((idx, (key, item))),
+            Some(Err(_)) | None => {
+                fresh.push((key.clone(), item));
+                replayed.push((key, None));
+            }
         }
     }
-    let resumed = replayed.len() as u64;
 
-    let fresh_indices: Vec<usize> = fresh.iter().map(|(idx, _)| *idx).collect();
-    let fresh_items: Vec<(JobKey, T)> = fresh.into_iter().map(|(_, pair)| pair).collect();
-
-    let sub = run_supervised(fresh_items, f, cfg, obs, |key, value: &R| {
+    let sub = supervise(fresh, f, cfg, obs, |key, value: &R| {
         if journal.lock().record(key, value).is_err() {
             obs.metrics.counter_add(C_JOURNAL_WRITE_ERRORS, 1);
         }
@@ -735,31 +741,32 @@ where
 
     // Reassemble into input order: journal replays and fresh outcomes
     // interleave exactly as the caller enumerated the items.
-    let total = resumed as usize + sub.jobs.len();
-    let mut slots: Vec<Option<(JobKey, JobOutcome<R>)>> = (0..total).map(|_| None).collect();
-    for (idx, key, value) in replayed {
-        slots[idx] = Some((
-            key,
-            JobOutcome::Completed {
-                value,
-                attempts: 0,
-                from_journal: true,
-            },
-        ));
-    }
-    for (slot_idx, job) in fresh_indices.into_iter().zip(sub.jobs) {
-        slots[slot_idx] = Some(job);
-    }
-
     let mut stats = sub.stats;
-    stats.resumed = resumed;
-    Ok(CampaignOutcome {
-        jobs: slots.into_iter().map(|s| s.expect("slot filled")).collect(),
-        interrupted: sub.interrupted,
+    let mut fresh_outcomes = sub.jobs.into_iter().map(|(_, outcome)| outcome);
+    let jobs: Vec<(JobKey, JobOutcome<R>)> = replayed
+        .into_iter()
+        .map(|(key, value)| {
+            let outcome = match value {
+                Some(value) => {
+                    stats.resumed += 1;
+                    JobOutcome::Completed {
+                        value,
+                        attempts: 0,
+                        from_journal: true,
+                    }
+                }
+                None => fresh_outcomes.next().expect("one outcome per fresh job"),
+            };
+            (key, outcome)
+        })
+        .collect();
+    stats.publish(&obs.metrics);
+    Ok(CampaignOutcome::new(
+        jobs,
+        sub.interrupted,
         stats,
-        quarantine: sub.quarantine,
-        simulated_cycles: sub.simulated_cycles,
-    })
+        sub.simulated_cycles,
+    ))
 }
 
 #[cfg(test)]
@@ -792,9 +799,6 @@ mod tests {
 
     fn fast_cfg() -> HarnessConfig {
         HarnessConfig {
-            max_attempts: 3,
-            backoff: Backoff::none(),
-            quarantine_threshold: 3,
             jobs: Some(2),
             ..HarnessConfig::default()
         }
@@ -824,28 +828,6 @@ mod tests {
         let values: Vec<u64> = out.values().into_iter().copied().collect();
         assert_eq!(values, vec![0, 2, 4, 6, 8, 10, 12, 14]);
         assert_eq!(out.stats.completed, 8);
-    }
-
-    #[test]
-    fn ctx_carries_snapshot_policy() {
-        let (obs, _) = obs_with_flag();
-        let cfg = HarnessConfig {
-            snapshot_every: Some(5_000),
-            selfcheck: true,
-            ..fast_cfg()
-        };
-        let out = run_supervised(
-            items(1),
-            |_seed, ctx: &JobCtx| {
-                assert_eq!(ctx.snapshot_every, Some(5_000));
-                assert!(ctx.selfcheck);
-                Ok::<u64, JobError>(0)
-            },
-            &cfg,
-            &obs,
-            |_, _: &u64| {},
-        );
-        assert!(out.fully_completed());
     }
 
     #[test]
@@ -924,8 +906,6 @@ mod tests {
         let (obs, _) = obs_with_flag();
         let cfg = HarnessConfig {
             max_attempts: 1,
-            backoff: Backoff::none(),
-            quarantine_threshold: 1,
             deadline: Some(Duration::from_millis(60)),
             jobs: Some(1),
             ..HarnessConfig::default()
@@ -990,6 +970,103 @@ mod tests {
         assert!(matches!(out.jobs[4].1, JobOutcome::Skipped));
         let snap = obs.metrics.snapshot();
         assert_eq!(snap.counter("harness.jobs_skipped"), Some(3));
+    }
+
+    #[test]
+    fn shutdown_while_an_attempt_fails_skips_the_job_without_a_retry() {
+        let (obs, flag) = obs_with_flag();
+        let attempts = AtomicUsize::new(0);
+        let out = run_supervised(
+            items(1),
+            |_seed, _ctx| {
+                attempts.fetch_add(1, Ordering::SeqCst);
+                flag.store(true, Ordering::SeqCst);
+                Err::<u64, JobError>(JobError::Io {
+                    detail: "failed during shutdown".into(),
+                })
+            },
+            &fast_cfg(),
+            &obs,
+            |_, _: &u64| {},
+        );
+        assert_eq!(attempts.load(Ordering::SeqCst), 1, "no further attempt");
+        assert!(matches!(out.jobs[0].1, JobOutcome::Skipped));
+        assert!(out.quarantine.is_empty());
+        assert_eq!(out.exit_code(), signal::EXIT_INTERRUPTED);
+        assert_eq!((out.stats.retries, out.stats.skipped), (0, 1));
+    }
+
+    #[test]
+    fn quarantine_lists_failed_jobs_in_input_order() {
+        let (obs, _) = obs_with_flag();
+        let out = run_supervised(
+            items(6),
+            |seed: &u64, _ctx| match seed {
+                // Job 1 fails slowly, so job 4 runs out of attempts first.
+                1 => {
+                    std::thread::sleep(Duration::from_millis(30));
+                    Err(JobError::Panic {
+                        message: "slow".into(),
+                    })
+                }
+                4 => Err(JobError::Io {
+                    detail: "fast".into(),
+                }),
+                _ => Ok::<u64, JobError>(*seed),
+            },
+            &fast_cfg(),
+            &obs,
+            |_, _: &u64| {},
+        );
+        let listed: Vec<(JobKey, u32)> = out
+            .quarantine
+            .iter()
+            .map(|q| (q.key.clone(), q.failures))
+            .collect();
+        assert_eq!(listed, vec![(key(1), 3), (key(4), 3)]);
+        assert_eq!(out.stats.quarantined, 2);
+        assert_eq!(out.exit_code(), signal::EXIT_PARTIAL);
+    }
+
+    #[test]
+    fn published_counters_are_the_nonzero_stats() {
+        let dir = scratch("published_counters");
+        let (obs, flag) = obs_with_flag();
+        let cfg = HarnessConfig {
+            max_attempts: 2,
+            jobs: Some(1),
+            ..HarnessConfig::default()
+        };
+        // Job 0 succeeds on its retry, job 1 is quarantined, job 2
+        // requests a shutdown, so job 3 is skipped.
+        let out = run_journaled(
+            &dir,
+            items(4),
+            |seed: &u64, ctx: &JobCtx| match seed {
+                0 if ctx.attempt == 1 => Err(JobError::Io {
+                    detail: "once".into(),
+                }),
+                1 => Err(JobError::Watchdog {
+                    detail: "always".into(),
+                }),
+                2 => {
+                    flag.store(true, Ordering::SeqCst);
+                    Ok(2)
+                }
+                _ => Ok::<u64, JobError>(*seed),
+            },
+            &cfg,
+            &obs,
+        )
+        .unwrap();
+        let s = out.stats;
+        assert_eq!((s.completed, s.retries, s.io_errors), (2, 2, 1));
+        assert_eq!((s.watchdogs, s.quarantined, s.skipped), (2, 1, 1));
+        let snap = obs.metrics.snapshot();
+        for (name, n) in s.counters() {
+            assert_eq!(snap.counter(name), (n > 0).then_some(n), "{name}");
+        }
+        assert!(snap.counters.iter().all(|(_, n)| *n > 0), "{snap:?}");
     }
 
     #[test]

@@ -155,6 +155,8 @@ pub struct RunStore {
     log: AppendLog,
     records: Vec<RunRecord>,
     damage: LogDamage,
+    /// See [`RunStore::next_seq`].
+    next_seq: u64,
 }
 
 impl fmt::Debug for RunStore {
@@ -201,6 +203,7 @@ impl RunStore {
         Ok(RunStore {
             root,
             log,
+            next_seq: (records.len() + damage.count) as u64,
             records,
             damage,
         })
@@ -229,10 +232,11 @@ impl RunStore {
     }
 
     /// Sequence number for the next record (`r{seq:05}-...` ids): one
-    /// per record and per damaged line, so a new id never reuses the
-    /// number of a line still in the index.
+    /// per record and damaged line loaded, and one per append attempted
+    /// since. A failed append may still have reached the disk, so a new
+    /// id never reuses the number of a line that is in the index.
     pub fn next_seq(&self) -> u64 {
-        (self.records.len() + self.damage.count) as u64
+        self.next_seq
     }
 
     /// Batch number for a new registration pass: one past the largest
@@ -245,6 +249,7 @@ impl RunStore {
     /// flush it to disk before returning.
     pub fn append(&mut self, mut record: RunRecord) -> Result<(), ReportError> {
         record.schema_version = REPORT_SCHEMA_VERSION;
+        self.next_seq += 1;
         self.log.append(&record)?;
         self.records.push(record);
         Ok(())
@@ -423,6 +428,40 @@ mod tests {
             store.records().iter().all(|r| !r.id.starts_with(&fresh)),
             "{fresh} reuses the id of a record still in the index"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A failed append can still leave its whole line on disk, so every
+    /// attempt takes a sequence number: under 400 ENOSPC schedules no
+    /// two records in the index share one.
+    #[test]
+    fn failed_appends_never_hand_their_sequence_number_out_again() {
+        use sim_chaos::{ChaosConfig, ChaosFs, FaultSpec};
+        let dir = tmp("failed_appends");
+        let spec = FaultSpec {
+            p_enospc: 0.5,
+            ..FaultSpec::off()
+        };
+        for seed in 0..400 {
+            std::fs::remove_dir_all(&dir).ok();
+            let vfs = Arc::new(ChaosFs::new(ChaosConfig::new(seed, spec)));
+            let mut store = RunStore::open_in(vfs, &dir).unwrap();
+            for k in 0..3 {
+                let mut record = sample_record(0, "baseline", k);
+                record.id = format!("r{:05}-run{k}", store.next_seq());
+                let _ = store.append(record);
+            }
+            let ids: Vec<String> = RunStore::open(&dir)
+                .unwrap()
+                .records()
+                .iter()
+                .map(|r| r.id.clone())
+                .collect();
+            let mut seqs: Vec<&str> = ids.iter().map(|id| &id[..6]).collect();
+            seqs.sort_unstable();
+            seqs.dedup();
+            assert_eq!(seqs.len(), ids.len(), "seed {seed}: {ids:?}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
